@@ -71,6 +71,11 @@ def _expect(condition: bool, path: str, message: str):
         raise CliInputError(f"{path}: {message}")
 
 
+def _is_int(x) -> bool:
+    # JSON true/false arrive as bool, which subclasses int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_value(doc, mode: str, path: str):
     _expect(isinstance(doc, dict), path, "eigenvalue value must be an object")
     try:
@@ -101,7 +106,7 @@ def parse_problem(doc) -> TupleProblem:
     mode = doc.get("mode")
     _expect(mode in (ADDITIVE, MULTIPLICATIVE), "mode", f"must be '{ADDITIVE}' or '{MULTIPLICATIVE}'")
     n = doc.get("n")
-    _expect(isinstance(n, int) and n >= 1, "n", "must be a positive integer")
+    _expect(_is_int(n) and n >= 1, "n", "must be a positive integer")
     classes_doc = doc.get("classes")
     _expect(isinstance(classes_doc, list) and classes_doc, "classes", "must be a non-empty list")
     classes = []
@@ -117,10 +122,10 @@ def parse_problem(doc) -> TupleProblem:
             _expect(isinstance(edoc, dict), epath, "must be an object")
             value = _parse_value(edoc.get("value"), mode, f"{epath}.value")
             mult = edoc.get("multiplicity")
-            _expect(isinstance(mult, int) and mult >= 1, f"{epath}.multiplicity", "must be a positive integer")
+            _expect(_is_int(mult) and mult >= 1, f"{epath}.multiplicity", "must be a positive integer")
             blocks = edoc.get("blocks")
             _expect(
-                isinstance(blocks, list) and blocks and all(isinstance(b, int) for b in blocks),
+                isinstance(blocks, list) and blocks and all(_is_int(b) for b in blocks),
                 f"{epath}.blocks",
                 "must be a non-empty list of integers",
             )
@@ -191,7 +196,7 @@ def parse_witness(doc) -> MatrixTuple:
     mode = doc.get("mode")
     _expect(mode in (ADDITIVE, MULTIPLICATIVE), "mode", "must be a known mode")
     n = doc.get("n")
-    _expect(isinstance(n, int) and n >= 1, "n", "must be a positive integer")
+    _expect(_is_int(n) and n >= 1, "n", "must be a positive integer")
     mats_doc = doc.get("matrices")
     _expect(isinstance(mats_doc, list) and mats_doc, "matrices", "must be a non-empty list")
     matrices = []

@@ -7,6 +7,15 @@ has decidable identity, and covers every root of unity.  Genericity means:
 no selection of equally many eigenvalues from every class (respecting
 multiplicities, fewer than n per class) sums to zero, respectively
 multiplies to one.
+
+The relation search (`find_first_relation`) never combines eigenvalue
+objects.  It maps every value once per search to an exact integer key and
+folds keys: additive values become (im, re) over their common denominator,
+multiplicative ones an angle in Z / L plus the magnitude's exponent vector
+over a gcd-refined coprime base, packed in base W = 2B + 1 where B bounds
+every digit of every selection sum, so equal keys mean equal values.  The
+search stops at m = n // 2: in a consistent problem the complement of a
+relation at m is a relation at n - m.
 """
 
 from __future__ import annotations
@@ -203,23 +212,25 @@ class GenericityResult:
         return self.generic
 
 
+def _selections(mults: tuple[int, ...], m: int, weights) -> list[tuple[tuple[int, ...], int]]:
+    """(t, sum of t_i * weights[i]) for every count vector 0 <= t_i <=
+    mults[i] with sum m, in lexicographic order of t."""
+    tails = [0]
+    for mu in reversed(mults[1:]):
+        tails.append(tails[-1] + mu)
+    level = [((), m, 0)]
+    for mu, w, tail in zip(mults, weights, reversed(tails)):
+        level = [
+            (acc + (t,), rest - t, total + t * w)
+            for acc, rest, total in level
+            for t in range(max(0, rest - tail), min(mu, rest) + 1)
+        ]
+    return [(acc, total) for acc, _, total in level]
+
+
 def _selection_vectors(mults: tuple[int, ...], m: int):
     """Count vectors 0 <= t_i <= mults[i] with sum m, lexicographic order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, remaining: int, acc: tuple[int, ...]):
-        if i == len(mults):
-            if remaining == 0:
-                out.append(acc)
-            return
-        tail_capacity = sum(mults[i + 1 :])
-        lo = max(0, remaining - tail_capacity)
-        hi = min(mults[i], remaining)
-        for t in range(lo, hi + 1):
-            rec(i + 1, remaining - t, acc + (t,))
-
-    rec(0, m, ())
-    return out
+    return [t for t, _ in _selections(mults, m, [0] * len(mults))]
 
 
 def _selection_count(mults: tuple[int, ...], m: int) -> int:
@@ -249,27 +260,6 @@ def _combine(problem: TupleProblem, values, counts) -> GaussianRational | Multip
     return acc
 
 
-def _fold_classes(problem: TupleProblem, class_indices, m: int):
-    """Map: combined value -> first-seen tuple of count vectors, folding the
-    listed classes in order.  Deterministic because every enumeration is."""
-    acc = {_identity_value(problem.mode): ()}
-    for j in class_indices:
-        spec = problem.classes[j]
-        mults = spec.shape.multiplicities()
-        options = []
-        for t in _selection_vectors(mults, m):
-            options.append((t, _combine(problem, spec.values, t)))
-        new_acc: dict = {}
-        for value, chosen in acc.items():
-            for t, v in options:
-                combined = _merge_values(problem.mode, value, v)
-                key = combined
-                if key not in new_acc:
-                    new_acc[key] = chosen + (t,)
-        acc = new_acc
-    return acc
-
-
 def _identity_value(mode: str):
     return GR_ZERO if mode == ADDITIVE else MULT_ONE
 
@@ -278,18 +268,133 @@ def _merge_values(mode: str, a, b):
     return a + b if mode == ADDITIVE else a * b
 
 
-def _needed_complement(mode: str, left):
-    return -left if mode == ADDITIVE else left.inverse()
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 of which every number is a product
+    of powers.  Gcd refinement only: a base element b meeting x with
+    g = gcd(x, b) > 1 is replaced by g, b/g and x/g, which divides the
+    product of all numbers held by g, so the loop ends without factoring."""
+    base: list[int] = []
+    pending = [x for x in numbers if x > 1]
+    while pending:
+        x = pending.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[i]
+                pending.extend(y for y in (g, b // g, x // g) if y > 1)
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _exponents(x: int, base: list[int]) -> list[int]:
+    out = []
+    for b in base:
+        e = 0
+        while x % b == 0:
+            x //= b
+            e += 1
+        out.append(e)
+    return out
+
+
+def _scaled(x: Fraction, den: int) -> int:
+    return x.numerator * (den // x.denominator)
+
+
+def _value_keys(problem: TupleProblem) -> tuple[list[list[int]], int, int]:
+    """Exact integer keys of the eigenvalues, per class, with `half` and
+    `wrap` of the key group Z / wrap.
+
+    A value is a vector of integer digits plus an angle a in [0, L).
+    Additive: digits (im, re) over the common denominator D, and L = 1.
+    Multiplicative: digits are the magnitude's exponents over a coprime
+    base of all numerators and denominators, and a = angle * L with L the
+    lcm of the angle denominators.  The key is a * R + sum_i d_i * W**i
+    with W = 2B + 1 and R = W**r, where B bounds every digit of every sum
+    of selected values (counts within the multiplicities).  Balanced
+    base-W digits in [-B, B] are unique, and only the angle wraps, so
+    adding keys modulo wrap = L * R adds values, and two selections' keys
+    are equal exactly when their values are.  Keys are represented in
+    [-half, wrap - half) with half = (R - 1) / 2."""
+    values = [v for c in problem.classes for v in c.values]
+    if problem.mode == ADDITIVE:
+        modulus = 1
+        den = math.lcm(*(x.denominator for v in values for x in (v.im, v.re)))
+        angles = [0] * len(values)
+        digits = [(_scaled(v.im, den), _scaled(v.re, den)) for v in values]
+    else:
+        modulus = math.lcm(*(v.angle.denominator for v in values))
+        angles = [_scaled(v.angle, modulus) for v in values]
+        mags = [v.magnitude for v in values]
+        base = _coprime_base({x for q in mags for x in (q.numerator, q.denominator)})
+        digits = [
+            [p - q for p, q in zip(_exponents(x.numerator, base), _exponents(x.denominator, base))]
+            for x in mags
+        ]
+    weights = [mu for c in problem.classes for mu in c.shape.multiplicities()]
+    width = len(digits[0])
+    bound = max(
+        (sum(mu * abs(d[i]) for mu, d in zip(weights, digits)) for i in range(width)),
+        default=0,
+    )
+    w = 2 * bound + 1
+    radix = w**width
+    keys = iter(
+        a * radix + sum(d_i * w**i for i, d_i in enumerate(d))
+        for a, d in zip(angles, digits)
+    )
+    per_class = [[next(keys) for _ in c.values] for c in problem.classes]
+    return per_class, radix // 2, modulus * radix
+
+
+def _class_options(mults, keys, m: int, sign: int, half: int, wrap: int):
+    """Each count vector of one class at cardinality m with the key of its
+    combined value (sign = -1: of the inverse value)."""
+    return [
+        (t, (sign * total + half) % wrap - half)
+        for t, total in _selections(mults, m, keys)
+    ]
+
+
+def _fold_classes(class_options, half: int, wrap: int) -> dict[int, tuple]:
+    """Map: key of a combined value -> first-seen tuple of count vectors,
+    folding the classes in order.  Deterministic because every enumeration
+    is, and key equality is value equality, so the first-seen entries are
+    those of a fold over the values themselves."""
+    top = wrap - half - 1
+    acc: dict[int, tuple] = {0: ()}
+    for options in class_options:
+        new_acc: dict[int, tuple] = {}
+        for key, chosen in acc.items():
+            for t, k in options:
+                s = key + k
+                if s > top:
+                    s -= wrap
+                if s not in new_acc:
+                    new_acc[s] = chosen + (t,)
+        acc = new_acc
+    return acc
 
 
 def find_first_relation(
     problem: TupleProblem, cap: int = DEFAULT_RELATION_CAP
 ) -> NonGenericityRelation | None:
-    """Smallest-cardinality relation, or None.  Meet-in-the-middle over a
-    balanced split of the classes keeps the table sizes near the square
-    root of the full selection count."""
+    """Smallest-cardinality relation of a consistent problem, or None.
+
+    Meet-in-the-middle over a balanced split of the classes keeps the table
+    sizes near the square root of the full selection count.  The left table
+    maps value keys (`_value_keys`, built once per search) to count
+    vectors, the right one the keys of inverse values, so a relation is a
+    key present in both.  Only m <= n // 2 is searched: the problem is
+    consistent, so the complement mult - t of a relation at m is a relation
+    at n - m, and the selection count at m equals the one at n - m.  The
+    smallest relation therefore has m <= n // 2, and the cap fires at the
+    same m as a search over every m < n would."""
     n = problem.n
-    for m in range(1, n):
+    keys, half, wrap = _value_keys(problem)
+    for m in range(1, n // 2 + 1):
         per_class = [
             _selection_count(c.shape.multiplicities(), m) for c in problem.classes
         ]
@@ -301,14 +406,20 @@ def find_first_relation(
         if total == 0:
             continue
         split = _balanced_split(per_class)
-        left = _fold_classes(problem, range(split), m)
-        right = _fold_classes(problem, range(split, problem.class_count), m)
-        for value, left_counts in left.items():
-            match = right.get(_needed_complement(problem.mode, value))
-            if match is not None:
-                return NonGenericityRelation(
-                    mode=problem.mode, m=m, counts=left_counts + match
-                )
+        options = [
+            _class_options(
+                c.shape.multiplicities(), k, m, 1 if j < split else -1, half, wrap
+            )
+            for j, (c, k) in enumerate(zip(problem.classes, keys))
+        ]
+        left = _fold_classes(options[:split], half, wrap)
+        right = _fold_classes(options[split:], half, wrap)
+        common = left.keys() & right.keys()
+        if common:
+            key = next(k for k in left if k in common)
+            return NonGenericityRelation(
+                mode=problem.mode, m=m, counts=left[key] + right[key]
+            )
     return None
 
 
@@ -450,11 +561,14 @@ def generate_generic(
             )
 
     prime_stream = _primes_from(n * n + 1)
-    primes_pool = [next(prime_stream) for _ in range(len(slots) * (attempts + seed + 2))]
+    primes_pool: list[int] = []
 
     for attempt in range(attempts):
         offset = (seed + attempt) * len(slots)
-        qs = primes_pool[offset : offset + max(0, len(slots) - 1)]
+        end = offset + max(0, len(slots) - 1)
+        # extended as attempts use it: the first attempt usually succeeds
+        primes_pool.extend(next(prime_stream) for _ in range(end - len(primes_pool)))
+        qs = primes_pool[offset:end]
         try:
             problem = _assemble_assignment(shapes, mode, slots, qs)
         except (ProblemError, JnfError):

@@ -229,6 +229,72 @@ class TestCommands:
         assert code == 2 and "error" in report
 
 
+def _size_one_problem():
+    zero = {"value": {"re": "0", "im": "0"}, "multiplicity": 1, "blocks": [1]}
+    return {"mode": "additive", "n": 1, "classes": [{"eigenvalues": [dict(zero)]} for _ in range(2)]}
+
+
+class TestBooleansAreNotIntegers:
+    """JSON true is a bool, which subclasses int in Python; every integer
+    field must still reject it with exit 2 and its JSON path."""
+
+    def _classify(self, tmp_path, doc):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        return _run("classify", str(path))
+
+    def test_valid_size_one_document_accepted(self, tmp_path):
+        code, report = self._classify(tmp_path, _size_one_problem())
+        assert code in (0, 1) and "verdict" in report
+
+    def test_problem_n(self, tmp_path):
+        doc = _size_one_problem()
+        doc["n"] = True
+        code, report = self._classify(tmp_path, doc)
+        assert code == 2
+        assert report["error"].startswith("n: ")
+
+    def test_multiplicity(self, tmp_path):
+        doc = _size_one_problem()
+        doc["classes"][1]["eigenvalues"][0]["multiplicity"] = True
+        code, report = self._classify(tmp_path, doc)
+        assert code == 2
+        assert report["error"].startswith("classes[1].eigenvalues[0].multiplicity: ")
+
+    def test_block_size(self, tmp_path):
+        doc = _size_one_problem()
+        doc["classes"][0]["eigenvalues"][0]["blocks"] = [True]
+        code, report = self._classify(tmp_path, doc)
+        assert code == 2
+        assert report["error"].startswith("classes[0].eigenvalues[0].blocks: ")
+
+    def test_witness_n(self, tmp_path):
+        entry = {"re": "0", "im": "0"}
+        witness = {"mode": "additive", "n": True, "matrices": [[[entry]], [[entry]]]}
+        problem_path = tmp_path / "problem.json"
+        problem_path.write_text(json.dumps(_size_one_problem()))
+        witness_path = tmp_path / "witness.json"
+        witness_path.write_text(json.dumps(witness))
+        code, report = _run("verify", str(problem_path), str(witness_path))
+        assert code == 2
+        assert report["error"].startswith("n: ")
+        witness["n"] = 1
+        witness_path.write_text(json.dumps(witness))
+        code, report = _run("verify", str(problem_path), str(witness_path))
+        assert code != 2 and "error" not in report
+
+
+class TestRelationCap:
+    def test_cap_error_is_input_error(self):
+        code, report = _run(
+            "generic", str(SAMPLES / "n9_good_not_special.json"), "--relation-cap", "10"
+        )
+        assert code == 2
+        assert report["error"] == (
+            "RelationSearchCapError: cardinality 2 needs 27 selections, cap is 10"
+        )
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, capsys):
         main(["classify", str(SAMPLES / "nilpotent_n2.json")])

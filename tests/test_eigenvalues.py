@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product as iter_product
@@ -13,8 +14,10 @@ from deligne_simpson import (
     MULTIPLICATIVE,
     ClassSpec,
     GenericAssignmentError,
+    JnfShape,
     MultiplicativeEigenvalue,
     ProblemError,
+    RelationSearchCapError,
     TupleProblem,
     check_consistency,
     generate_generic,
@@ -23,6 +26,8 @@ from deligne_simpson import (
 )
 from deligne_simpson.eigenvalues import (
     MULT_ONE,
+    _assemble_assignment,
+    _primes_from,
     _selection_vectors,
     find_first_relation,
 )
@@ -152,6 +157,176 @@ class TestGenericity:
             assert (fast is None) == (brute is None), (problem, fast, brute)
             if fast is not None:
                 assert fast.verify(problem)
+
+
+# values drawn from small pools so that relations of several cardinalities
+# occur; the magnitudes share the primes 2 and 3
+_ADDITIVE_POOL = [
+    gr(Fraction(a, q), Fraction(b, r))
+    for a in range(-2, 3) for q in (1, 2) for b in (-1, 0, 1) for r in (1, 3)
+]
+_ANGLE_POOL = sorted({Fraction(p, q) for q in (1, 2, 3, 4) for p in range(q)})
+_MAGNITUDE_POOL = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(4, 3), Fraction(6), Fraction(9, 4)]
+
+
+def _inverse_of_combined(mode, terms):
+    """Inverse of the sum (product) of value * count over (value, count)."""
+    if mode == ADDITIVE:
+        total = gr(0)
+        for v, k in terms:
+            total = total + v * k
+        return -total
+    total = MULT_ONE
+    for v, k in terms:
+        total = total * v.power(k)
+    return total.inverse()
+
+
+def _random_consistent_problem(rng, mode, n, count, plant=0):
+    """Random pool values; one slot of multiplicity 1 absorbs the total
+    condition.  With plant = m0 > 0 another slot, chosen once in a random
+    selection of m0 per class, completes a relation at m0.  None when no
+    such slots exist or the values collide."""
+    shapes = random_shape_tuple(rng, n, count)
+    slots = [(j, i) for j, s in enumerate(shapes) for i in range(s.label_count)]
+    counts = dict.fromkeys(slots, 0)
+    if plant:
+        for j, s in enumerate(shapes):
+            t = rng.choice(_selection_vectors(s.multiplicities(), plant))
+            counts.update(((j, i), c) for i, c in enumerate(t))
+    absorbers = [(j, i) for j, i in slots if shapes[j].multiplicity(i) == 1 and not counts[j, i]]
+    planted = [slot for slot in slots if counts[slot] == 1]
+    if not absorbers or (plant and not planted):
+        return None
+    # a few values and their inverses per problem, so that relations occur
+    if mode == ADDITIVE:
+        pool = rng.sample(_ADDITIVE_POOL, rng.randint(1, 6))
+        pool += [-v for v in pool]
+    else:
+        pool = [me(rng.choice(_ANGLE_POOL), rng.choice(_MAGNITUDE_POOL)) for _ in range(rng.randint(1, 6))]
+        pool += [v.inverse() for v in pool]
+    values = {slot: rng.choice(pool) for slot in slots}
+    if plant:
+        p = rng.choice(planted)
+        values[p] = _inverse_of_combined(
+            mode, [(values[slot], counts[slot]) for slot in slots if slot != p]
+        )
+    a = rng.choice(absorbers)
+    values[a] = _inverse_of_combined(
+        mode, [(values[j, i], shapes[j].multiplicity(i)) for j, i in slots if (j, i) != a]
+    )
+    try:
+        classes = [
+            ClassSpec(s, [values[j, i] for i in range(s.label_count)])
+            for j, s in enumerate(shapes)
+        ]
+    except JnfError:
+        return None
+    problem = TupleProblem(mode, n, classes)
+    assert check_consistency(problem)
+    return problem
+
+
+def _permuted(rng, problem):
+    """The same problem with its classes, and the labels of each class, in
+    a random order."""
+    classes = []
+    for c in rng.sample(problem.classes, len(problem.classes)):
+        order = rng.sample(range(c.shape.label_count), c.shape.label_count)
+        shape_ = JnfShape(c.shape.blocks[i] for i in order)
+        classes.append(ClassSpec(shape_, [c.values[i] for i in order]))
+    return TupleProblem(problem.mode, problem.n, classes)
+
+
+class TestIntegerKeysAgainstBruteForce:
+    """The search folds exact integer keys; brute force combines the values
+    themselves.  Imaginary parts and magnitudes with shared primes exercise
+    every digit of the key."""
+
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    def test_minimal_cardinality_matches(self, mode):
+        rng = random.Random(f"keys/{mode}")
+        brute_force = (
+            _bruteforce_relation if mode == ADDITIVE else _bruteforce_relation_multiplicative
+        )
+        seen_m = set()
+        for n in range(2, 9):
+            checked = 0
+            while checked < 16:
+                plant = rng.randint(1, n // 2) if checked % 2 else 0
+                count = 2 if n > 6 else rng.randint(2, 3)
+                problem = _random_consistent_problem(rng, mode, n, count, plant)
+                if problem is None:
+                    continue
+                checked += 1
+                fast = find_first_relation(problem)
+                brute = brute_force(problem)
+                assert (fast is None) == (brute is None), (problem, fast, brute)
+                if fast is None:
+                    continue
+                assert fast.m == brute[0]
+                assert fast.m <= (plant or n)
+                assert fast.m <= n // 2
+                assert fast.verify(problem)
+                seen_m.add(fast.m)
+                # permuting classes or labels keeps the verdict and m
+                for _ in range(2):
+                    res = is_generic(_permuted(rng, problem))
+                    assert not res.generic and res.witness.m == fast.m
+        assert {1, 2, 3} <= seen_m
+
+    def test_permutation_keeps_generic_verdict(self):
+        rng = random.Random(41)
+        for mode in (ADDITIVE, MULTIPLICATIVE):
+            for n in (5, 6, 7, 8):
+                shapes = random_shape_tuple(rng, n, 3)
+                mults = [m for s in shapes for m in s.multiplicities()]
+                if mode == ADDITIVE and math.gcd(*mults) > 1:
+                    continue
+                problem = generate_generic(shapes, mode, seed=n)
+                for _ in range(3):
+                    assert is_generic(_permuted(rng, problem)).generic
+
+    def test_shared_prime_magnitudes(self):
+        # 2 * (1/6) * (9/4) * (4/3) = 1 cancels only prime by prime
+        classes = [
+            ClassSpec(shape([1], [1]), [me(0, q), me(0, 1 / q)])
+            for q in (Fraction(2), Fraction(6), Fraction(9, 4), Fraction(4, 3))
+        ]
+        problem = TupleProblem(MULTIPLICATIVE, 2, classes)
+        witness = find_first_relation(problem)
+        assert witness.m == 1 and witness.verify(problem)
+        assert _bruteforce_relation_multiplicative(problem)[0] == 1
+        # without the last class no product of one value per class is 1
+        problem = TupleProblem(MULTIPLICATIVE, 2, classes[:3])
+        assert find_first_relation(problem) is None
+        assert _bruteforce_relation_multiplicative(problem) is None
+
+
+class TestRelationCap:
+    """The search stops at m = n // 2; the cap must still fail at the same
+    cardinality, with the same message, as a search over every m < n."""
+
+    def _distinct_labels(self, n):
+        shapes = (JnfShape.of(*([1] for _ in range(n))),) * 3
+        return generate_generic(shapes, ADDITIVE, seed=0)
+
+    def test_cap_fails_at_first_cardinality(self):
+        problem = self._distinct_labels(6)
+        with pytest.raises(RelationSearchCapError) as err:
+            find_first_relation(problem, cap=215)
+        assert str(err.value) == "cardinality 1 needs 216 selections, cap is 215"
+
+    @pytest.mark.parametrize("n, largest", [(6, 20**3), (7, 35**3)])
+    def test_cap_fails_only_at_largest_count(self, n, largest):
+        # the selection count peaks at m = n // 2 (and n - n // 2)
+        problem = self._distinct_labels(n)
+        with pytest.raises(RelationSearchCapError) as err:
+            find_first_relation(problem, cap=largest - 1)
+        assert str(err.value) == (
+            f"cardinality {n // 2} needs {largest} selections, cap is {largest - 1}"
+        )
+        assert find_first_relation(problem, cap=largest) is None
 
 
 def _bruteforce_relation(problem):
@@ -284,6 +459,65 @@ class TestGenerateGeneric:
         a = generate_generic(shapes, ADDITIVE, seed=9)
         b = generate_generic(shapes, ADDITIVE, seed=9)
         assert a == b
+
+
+def _eager_generate(shapes, mode, seed, attempts=32):
+    """generate_generic as it was with every prime of every attempt built
+    up front."""
+    n = shapes[0].n
+    slots = [
+        (j, l, s.multiplicity(l)) for j, s in enumerate(shapes) for l in range(s.label_count)
+    ]
+    stream = _primes_from(n * n + 1)
+    pool = [next(stream) for _ in range(len(slots) * (attempts + seed + 2))]
+    for attempt in range(attempts):
+        offset = (seed + attempt) * len(slots)
+        qs = pool[offset : offset + max(0, len(slots) - 1)]
+        try:
+            problem = _assemble_assignment(shapes, mode, slots, qs)
+        except (ProblemError, JnfError):
+            continue
+        if is_generic(problem).generic:
+            return problem
+    raise GenericAssignmentError("no generic assignment")
+
+
+def _primes_above(bound, count):
+    out, q = [], bound + 1
+    while len(out) < count:
+        if q > 1 and all(q % d for d in range(2, int(q**0.5) + 1)):
+            out.append(q)
+        q += 1
+    return out
+
+
+class TestLazyPrimePool:
+    SHAPES = [
+        (shape([1], [1]),) * 3,
+        (shape([2], [1]), shape([1, 1, 1]), shape([3])),
+        (shape([1], [2, 1]), shape([1], [1], [1, 1]), shape([2, 1], [1]), shape([4])),
+    ]
+
+    @pytest.mark.parametrize("index", range(3))
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    def test_matches_eager_construction(self, index, mode):
+        shapes = self.SHAPES[index]
+        for seed in range(10):
+            assert generate_generic(shapes, mode, seed=seed) == _eager_generate(
+                shapes, mode, seed
+            )
+
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    def test_first_attempt_uses_primes_at_seed_offset(self, mode):
+        shapes = self.SHAPES[2]
+        n = shapes[0].n
+        slots = sum(s.label_count for s in shapes)
+        for seed in range(10):
+            problem = generate_generic(shapes, mode, seed=seed)
+            values = [v for c in problem.classes for v in c.values][:-1]
+            parts = [v.re if mode == ADDITIVE else v.angle for v in values]
+            expected = _primes_above(n * n, (seed + 1) * slots)[seed * slots :][: slots - 1]
+            assert parts == [Fraction(1, q) for q in expected]
 
 
 class TestReducibleNeedsNonGeneric:
