@@ -543,28 +543,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--human", action="store_true", help="prose report instead of JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, problem=True):
-        if problem:
-            p.add_argument("problem", help="problem document (JSON)")
-        p.add_argument("--relation-cap", type=int, default=DEFAULT_RELATION_CAP,
-                       help="bound on the genericity search size")
-        p.add_argument("--exhaustive-ties", action="store_true",
-                       help="explore every tie branch of the reduction chain")
+    def add_common(p, relation_cap=False, exhaustive_ties=False):
+        p.add_argument("problem", help="problem document (JSON)")
+        if relation_cap:
+            p.add_argument("--relation-cap", type=int, default=DEFAULT_RELATION_CAP,
+                           help="bound on the genericity search size")
+        if exhaustive_ties:
+            p.add_argument("--exhaustive-ties", action="store_true",
+                           help="explore every tie branch of the reduction chain")
         p.add_argument("--human", action="store_true",
                        help="prose report instead of JSON")
 
     p = sub.add_parser("classify", help="full solvability verdict")
-    add_common(p)
+    add_common(p, relation_cap=True, exhaustive_ties=True)
     p.add_argument("--subordinate-witness", help="witness document for the subordinate-solution rule")
     p.add_argument("--subordinate-classes", help="problem document listing the witness classes")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("good", help="goodness of the shape tuple")
-    add_common(p)
+    add_common(p, exhaustive_ties=True)
     p.set_defaults(func=_cmd_good)
 
     p = sub.add_parser("generic", help="genericity of the eigenvalue data")
-    add_common(p)
+    add_common(p, relation_cap=True)
     p.add_argument("--generate", action="store_true",
                    help="generate a verified-generic assignment for the problem's shapes")
     p.add_argument("--seed", type=int, default=0, help="generation seed")
@@ -572,11 +573,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generic)
 
     p = sub.add_parser("special", help="search for repeated-block certificates")
-    add_common(p)
+    add_common(p, relation_cap=True)
     p.set_defaults(func=_cmd_special)
 
     p = sub.add_parser("psi-trace", help="full reduction chain")
-    add_common(p)
+    add_common(p, exhaustive_ties=True)
     p.set_defaults(func=_cmd_psi_trace)
 
     p = sub.add_parser("verify", help="all witness checks against a problem")

@@ -8,14 +8,15 @@ no selection of equally many eigenvalues from every class (respecting
 multiplicities, fewer than n per class) sums to zero, respectively
 multiplies to one.
 
-The relation search (`find_first_relation`) never combines eigenvalue
-objects.  It maps every value once per search to an exact integer key and
-folds keys: additive values become (im, re) over their common denominator,
-multiplicative ones an angle in Z / L plus the magnitude's exponent vector
-over a gcd-refined coprime base, packed in base W = 2B + 1 where B bounds
-every digit of every selection sum, so equal keys mean equal values.  The
-search stops at m = n // 2: in a consistent problem the complement of a
-relation at m is a relation at n - m.
+The relation searches (`find_first_relation`, `relation_counts`) never
+combine eigenvalue objects.  They share one plan, which maps every value
+once per search to an exact integer key and folds keys: additive values
+become (im, re) over their common denominator, multiplicative ones an
+angle in Z / L plus the magnitude's exponent vector over a gcd-refined
+coprime base, packed in base W = 2B + 1 where B bounds every digit of
+every selection sum, so equal keys mean equal values.  The plan stops at
+m = n // 2: in a consistent problem the complement of a relation at m is
+a relation at n - m.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product as iter_product
 
 from .exactnum import GR_ZERO, GaussianRational, format_rational
 from .jnf_core import ClassSpec, JnfError, JnfShape
@@ -148,20 +148,33 @@ class TupleProblem:
         return f"TupleProblem({self.mode}, n={self.n}, {len(self.classes)} classes)"
 
 
+def _combined_value(mode: str, classes, counts) -> GaussianRational | MultiplicativeEigenvalue:
+    """The sum of k * v (additive), respectively the product of v ** k
+    (multiplicative), where class j's i-th eigenvalue v enters k =
+    counts[j][i] times."""
+    terms = ((v, k) for c, t in zip(classes, counts) for v, k in zip(c.values, t))
+    if mode == ADDITIVE:
+        total = GR_ZERO
+        for v, k in terms:
+            total = total + v * k
+        return total
+    acc = MULT_ONE
+    for v, k in terms:
+        acc = acc * v.power(k)
+    return acc
+
+
+def _is_identity(value) -> bool:
+    if isinstance(value, MultiplicativeEigenvalue):
+        return value.is_identity()
+    return value.is_zero()
+
+
 def check_consistency(problem: TupleProblem) -> bool:
     """Sum of all eigenvalues (with multiplicity) is zero, respectively the
     product is one."""
-    if problem.mode == ADDITIVE:
-        total = GR_ZERO
-        for c in problem.classes:
-            for i, v in enumerate(c.values):
-                total = total + v * c.shape.multiplicity(i)
-        return total.is_zero()
-    acc = MULT_ONE
-    for c in problem.classes:
-        for i, v in enumerate(c.values):
-            acc = acc * v.power(c.shape.multiplicity(i))
-    return acc.is_identity()
+    counts = [c.shape.multiplicities() for c in problem.classes]
+    return _is_identity(_combined_value(problem.mode, problem.classes, counts))
 
 
 # -- non-genericity relations ------------------------------------------------
@@ -190,17 +203,7 @@ class NonGenericityRelation:
                 return False
         if not 1 <= self.m < problem.n:
             return False
-        if self.mode == ADDITIVE:
-            total = GR_ZERO
-            for c, t in zip(problem.classes, self.counts):
-                for v, cnt in zip(c.values, t):
-                    total = total + v * cnt
-            return total.is_zero()
-        acc = MULT_ONE
-        for c, t in zip(problem.classes, self.counts):
-            for v, cnt in zip(c.values, t):
-                acc = acc * v.power(cnt)
-        return acc.is_identity()
+        return _is_identity(_combined_value(self.mode, problem.classes, self.counts))
 
 
 @dataclass(frozen=True)
@@ -244,28 +247,6 @@ def _selection_count(mults: tuple[int, ...], m: int) -> int:
                     new[s + t] += counts[s]
         counts = new
     return counts[m]
-
-
-def _combine(problem: TupleProblem, values, counts) -> GaussianRational | MultiplicativeEigenvalue:
-    if problem.mode == ADDITIVE:
-        total = GR_ZERO
-        for v, c in zip(values, counts):
-            if c:
-                total = total + v * c
-        return total
-    acc = MULT_ONE
-    for v, c in zip(values, counts):
-        if c:
-            acc = acc * v.power(c)
-    return acc
-
-
-def _identity_value(mode: str):
-    return GR_ZERO if mode == ADDITIVE else MULT_ONE
-
-
-def _merge_values(mode: str, a, b):
-    return a + b if mode == ADDITIVE else a * b
 
 
 def _coprime_base(numbers) -> list[int]:
@@ -378,23 +359,37 @@ def _fold_classes(class_options, half: int, wrap: int) -> dict[int, tuple]:
     return acc
 
 
-def find_first_relation(
-    problem: TupleProblem, cap: int = DEFAULT_RELATION_CAP
-) -> NonGenericityRelation | None:
-    """Smallest-cardinality relation of a consistent problem, or None.
+def _count_classes(class_options, half: int, wrap: int) -> dict[int, int]:
+    """Map: key of a combined value -> number of tuples of count vectors
+    with that value, folding the classes in order."""
+    top = wrap - half - 1
+    acc: dict[int, int] = {0: 1}
+    for options in class_options:
+        new_acc: dict[int, int] = {}
+        for key, count in acc.items():
+            for _, k in options:
+                s = key + k
+                if s > top:
+                    s -= wrap
+                new_acc[s] = new_acc.get(s, 0) + count
+        acc = new_acc
+    return acc
 
-    Meet-in-the-middle over a balanced split of the classes keeps the table
-    sizes near the square root of the full selection count.  The left table
-    maps value keys (`_value_keys`, built once per search) to count
-    vectors, the right one the keys of inverse values, so a relation is a
-    key present in both.  Only m <= n // 2 is searched: the problem is
-    consistent, so the complement mult - t of a relation at m is a relation
-    at n - m, and the selection count at m equals the one at n - m.  The
-    smallest relation therefore has m <= n // 2, and the cap fires at the
+
+def _cardinality_tables(problem: TupleProblem, cap: int, fold):
+    """The relation search plan: (m, left, right) for m = 1..n // 2, with
+    both meet-in-the-middle tables built by `fold`.
+
+    A balanced split of the classes keeps the table sizes near the square
+    root of the full selection count.  The left table folds value keys
+    (`_value_keys`, built once per search), the right one the keys of
+    inverse values, so a relation is a key present in both.  Only m <=
+    n // 2 is searched: the problem is consistent, so the complement
+    mult - t of a relation at m is a relation at n - m, and the selection
+    count at m equals the one at n - m.  The cap therefore fires at the
     same m as a search over every m < n would."""
-    n = problem.n
     keys, half, wrap = _value_keys(problem)
-    for m in range(1, n // 2 + 1):
+    for m in range(1, problem.n // 2 + 1):
         per_class = [
             _selection_count(c.shape.multiplicities(), m) for c in problem.classes
         ]
@@ -412,8 +407,15 @@ def find_first_relation(
             )
             for j, (c, k) in enumerate(zip(problem.classes, keys))
         ]
-        left = _fold_classes(options[:split], half, wrap)
-        right = _fold_classes(options[split:], half, wrap)
+        yield m, fold(options[:split], half, wrap), fold(options[split:], half, wrap)
+
+
+def find_first_relation(
+    problem: TupleProblem, cap: int = DEFAULT_RELATION_CAP
+) -> NonGenericityRelation | None:
+    """Smallest-cardinality relation of a consistent problem, or None.  By
+    the complement argument of `_cardinality_tables` it has m <= n // 2."""
+    for m, left, right in _cardinality_tables(problem, cap, _fold_classes):
         common = left.keys() & right.keys()
         if common:
             key = next(k for k in left if k in common)
@@ -423,6 +425,18 @@ def find_first_relation(
     return None
 
 
+def relation_counts(
+    problem: TupleProblem, cap: int = DEFAULT_RELATION_CAP
+) -> dict[int, int]:
+    """Number of relations of a consistent problem at each cardinality
+    m = 1..n // 2; by complements the count at n - m is the same.  Same
+    plan, cap and error as `find_first_relation`."""
+    counts = dict.fromkeys(range(1, problem.n // 2 + 1), 0)
+    for m, left, right in _cardinality_tables(problem, cap, _count_classes):
+        counts[m] = sum(c * right[k] for k, c in left.items() if k in right)
+    return counts
+
+
 def _balanced_split(per_class: list[int]) -> int:
     best, best_cost = 1, None
     for h in range(1, len(per_class) + 1):
@@ -430,36 +444,6 @@ def _balanced_split(per_class: list[int]) -> int:
         if best_cost is None or cost < best_cost:
             best, best_cost = h, cost
     return best
-
-
-def iter_all_relations(problem: TupleProblem, cap: int = DEFAULT_RELATION_CAP):
-    """Every relation, by full product enumeration.  Only viable on small
-    instances; the same cap as the first-witness search applies per
-    cardinality."""
-    n = problem.n
-    for m in range(1, n):
-        per_class = [
-            _selection_count(c.shape.multiplicities(), m) for c in problem.classes
-        ]
-        total = math.prod(per_class)
-        if total > cap:
-            raise RelationSearchCapError(
-                f"cardinality {m} needs {total} selections, cap is {cap}"
-            )
-        vectors = [
-            _selection_vectors(c.shape.multiplicities(), m) for c in problem.classes
-        ]
-        if any(not v for v in vectors):
-            continue
-        for combo in iter_product(*vectors):
-            value = _identity_value(problem.mode)
-            for spec, t in zip(problem.classes, combo):
-                value = _merge_values(
-                    problem.mode, value, _combine(problem, spec.values, t)
-                )
-            identity = value.is_zero() if problem.mode == ADDITIVE else value.is_identity()
-            if identity:
-                yield NonGenericityRelation(mode=problem.mode, m=m, counts=combo)
 
 
 def is_generic(
@@ -504,17 +488,9 @@ def reduced_multiplicity_product(problem: TupleProblem, divisor: int) -> Reduced
                     f"class {j}: multiplicity {c.shape.multiplicity(i)} "
                     f"not divisible by {divisor}"
                 )
-    if problem.mode == ADDITIVE:
-        total = GR_ZERO
-        for c in problem.classes:
-            for i, v in enumerate(c.values):
-                total = total + v * (c.shape.multiplicity(i) // divisor)
-        return ReducedProduct(ADDITIVE, divisor, total, total.is_zero())
-    acc = MULT_ONE
-    for c in problem.classes:
-        for i, v in enumerate(c.values):
-            acc = acc * v.power(c.shape.multiplicity(i) // divisor)
-    return ReducedProduct(MULTIPLICATIVE, divisor, acc, acc.is_identity())
+    counts = [[mu // divisor for mu in c.shape.multiplicities()] for c in problem.classes]
+    value = _combined_value(problem.mode, problem.classes, counts)
+    return ReducedProduct(problem.mode, divisor, value, _is_identity(value))
 
 
 # -- generation ---------------------------------------------------------------

@@ -18,7 +18,8 @@ def parse_rational(text) -> Fraction:
     """Parse "p/q" or "p" (optionally signed) into an exact Fraction."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    # JSON true/false arrive as bool, which subclasses int
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, float):
         raise ExactNumberError(f"refusing float {text!r}; pass a string like '1/3'")

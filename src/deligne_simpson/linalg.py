@@ -163,10 +163,6 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def matrix_from_ints(rows: Sequence[Sequence]) -> Matrix:
-    return Matrix(rows)
-
-
 def _echelon(rows: list[list[GaussianRational]]) -> list[tuple[int, int]]:
     """In-place forward elimination; returns (row, col) pivot positions."""
     nrows = len(rows)
@@ -209,10 +205,6 @@ def rank_of_rows(rows: Iterable[Iterable]) -> int:
     if not work:
         return 0
     return len(_echelon(work))
-
-
-def nullity(matrix: Matrix) -> int:
-    return matrix.ncols - rank(matrix)
 
 
 def solve_first(matrix: Matrix, rhs: Sequence[GaussianRational]):
@@ -278,10 +270,6 @@ def basis_matrix(n: int, r: int, s: int) -> Matrix:
     rows = [[GR_ZERO] * n for _ in range(n)]
     rows[r][s] = GR_ONE
     return Matrix(rows)
-
-
-def gl_basis(n: int) -> list[Matrix]:
-    return [basis_matrix(n, r, s) for r in range(n) for s in range(n)]
 
 
 def sl_basis(n: int) -> list[Matrix]:

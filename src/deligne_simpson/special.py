@@ -17,14 +17,12 @@ from itertools import product as iter_product
 from .criteria import is_good, rigidity_report
 from .eigenvalues import (
     DEFAULT_RELATION_CAP,
-    MULT_ONE,
     MULTIPLICATIVE,
-    NonGenericityRelation,
     TupleProblem,
+    check_consistency,
     is_generic,
-    iter_all_relations,
+    relation_counts,
 )
-from .exactnum import GR_ZERO
 from .jnf_core import ClassSpec, JnfShape, Partition, is_subordinate, partitions_of
 
 
@@ -132,24 +130,13 @@ def _build_certificate(problem, l, n1, joint) -> SpecialCertificate | None:
         ClassSpec(shape, spec.values)
         for shape, spec in zip(inner_shapes, problem.classes)
     )
-    if problem.mode == MULTIPLICATIVE:
-        acc = MULT_ONE
-        for c in inner_classes:
-            for i, v in enumerate(c.values):
-                acc = acc * v.power(c.shape.multiplicity(i))
-        if not acc.is_identity():
+    inner_problem = TupleProblem(problem.mode, l, inner_classes)
+    if not check_consistency(inner_problem):
+        if problem.mode == MULTIPLICATIVE:
             return None
-        inner_identity = True
-    else:
-        acc = GR_ZERO
-        for c in inner_classes:
-            for i, v in enumerate(c.values):
-                acc = acc + v * c.shape.multiplicity(i)
-        if not acc.is_zero():
-            raise SpecialSearchError(
-                "internal: inner sum nonzero for a consistent additive instance"
-            )
-        inner_identity = True
+        raise SpecialSearchError(
+            "internal: inner sum nonzero for a consistent additive instance"
+        )
 
     subordinate_classes = []
     for spec, shape in zip(problem.classes, inner_shapes):
@@ -164,7 +151,6 @@ def _build_certificate(problem, l, n1, joint) -> SpecialCertificate | None:
             )
         subordinate_classes.append(sub)
 
-    inner_problem = TupleProblem(problem.mode, l, inner_classes)
     inner_kappa = rigidity_report(inner_shapes).kappa
     if inner_kappa != 2:
         raise SpecialSearchError(
@@ -181,28 +167,9 @@ def _build_certificate(problem, l, n1, joint) -> SpecialCertificate | None:
         diagonal=diagonal,
         inner_kappa=inner_kappa,
         inner_tuple_good=True,
-        inner_identity=inner_identity,
+        inner_identity=True,
         inner_problem=inner_problem,
     )
-
-
-def relation_is_forced_multiple(
-    cert: SpecialCertificate, relation: NonGenericityRelation
-) -> bool:
-    """Is the relation s copies of the inner eigenvalue pattern, for one
-    common s in 1..n1-1 across all classes and eigenvalues?"""
-    if relation.m % cert.l:
-        return False
-    s = relation.m // cert.l
-    if not 1 <= s <= cert.n1 - 1:
-        return False
-    for spec, counts in zip(cert.inner_classes, relation.counts):
-        if len(counts) != spec.shape.label_count:
-            return False
-        for i, c in enumerate(counts):
-            if c != s * spec.shape.multiplicity(i):
-                return False
-    return True
 
 
 def classify_specialness(
@@ -214,8 +181,12 @@ def classify_specialness(
 
     quasi_generic holds when some diagonal certificate has generic inner
     eigenvalues and every outer non-genericity relation is a forced multiple
-    of that certificate's inner pattern.  Pass include_quasi_generic=False
-    to skip the (potentially expensive) full relation enumeration.
+    s * (inner multiplicities), 1 <= s < n1, of that certificate.  Forced
+    multiples are always relations, one at each cardinality m = s * l, and
+    complements map relations and forced multiples to their own kind, so
+    this holds exactly when the relation count at every m <= n // 2 is 1
+    where l divides m and 0 elsewhere.  Pass include_quasi_generic=False to
+    skip the relation count.
     """
     certificates = find_special_certificates(problem)
     special = bool(certificates)
@@ -224,16 +195,13 @@ def classify_specialness(
     if include_quasi_generic:
         quasi_generic = False
         if special_diagonal:
-            outer_relations = list(iter_all_relations(problem, cap=relation_cap))
+            counts = relation_counts(problem, cap=relation_cap)
             for cert in certificates:
                 if not cert.diagonal:
                     continue
                 if not is_generic(cert.inner_problem, cap=relation_cap).generic:
                     continue
-                if all(
-                    relation_is_forced_multiple(cert, rel)
-                    for rel in outer_relations
-                ):
+                if all(k == (1 if m % cert.l == 0 else 0) for m, k in counts.items()):
                     quasi_generic = True
                     break
     return SpecialnessReport(

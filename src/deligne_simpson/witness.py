@@ -93,17 +93,24 @@ class MatrixTuple:
         return f"MatrixTuple({self.mode}, {self.count} matrices of size {self.n})"
 
 
+def _relation_residual(mode: str, matrices: Sequence[Matrix]) -> Matrix:
+    """The sum of the matrices (additive), respectively their product minus
+    the identity (multiplicative): zero exactly when the relation holds."""
+    if mode == ADDITIVE:
+        acc = matrices[0]
+        for m in matrices[1:]:
+            acc = acc + m
+        return acc
+    identity = Matrix.identity(matrices[0].nrows)
+    acc = identity
+    for m in matrices:
+        acc = acc * m
+    return acc - identity
+
+
 def verify_relation(t: MatrixTuple) -> bool:
     """Exact check of sum = 0 (additive) or product = identity."""
-    if t.mode == ADDITIVE:
-        acc = t.matrices[0]
-        for m in t.matrices[1:]:
-            acc = acc + m
-        return acc.is_zero()
-    acc = Matrix.identity(t.n)
-    for m in t.matrices:
-        acc = acc * m
-    return acc == Matrix.identity(t.n)
+    return _relation_residual(t.mode, t.matrices).is_zero()
 
 
 def eigenvalue_as_gaussian(value) -> GaussianRational:
@@ -384,16 +391,7 @@ def deform_step(req: DeformationRequest) -> DeformationResult:
         target = m + d.scale(eps)
         deformed.append(conj_inv * target * conj)
 
-    if base.mode == ADDITIVE:
-        acc = deformed[0]
-        for m in deformed[1:]:
-            acc = acc + m
-        residual_matrix = acc
-    else:
-        acc = Matrix.identity(n)
-        for m in deformed:
-            acc = acc * m
-        residual_matrix = acc - Matrix.identity(n)
+    residual_matrix = _relation_residual(base.mode, deformed)
     residual = (
         residual_matrix.norm_rowsum() if not residual_matrix.is_zero() else Fraction(0)
     )

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from deligne_simpson import (
     MultiplicativeEigenvalue,
     TupleProblem,
 )
+from deligne_simpson.eigenvalues import _selection_vectors
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_problems"
 
@@ -201,3 +204,31 @@ def random_relation_tuple(
         prod = prod * m
     mats.append(inverse(prod))
     return MatrixTuple(MULTIPLICATIVE, mats)
+
+
+def bruteforce_relations(problem: TupleProblem) -> list[tuple[int, tuple]]:
+    """Every relation (m, count vectors) with 1 <= m < n, by direct-product
+    enumeration of the selections, combining angles and magnitudes
+    (multiplicative) or Gaussian rationals (additive) directly."""
+    found = []
+    for m in range(1, problem.n):
+        vector_sets = [
+            _selection_vectors(c.shape.multiplicities(), m) for c in problem.classes
+        ]
+        for combo in iter_product(*vector_sets):
+            pairs = [
+                (v, k)
+                for c, t in zip(problem.classes, combo)
+                for v, k in zip(c.values, t)
+            ]
+            if problem.mode == ADDITIVE:
+                holds = not sum(v.re * k for v, k in pairs) and not sum(
+                    v.im * k for v, k in pairs
+                )
+            else:
+                angle = sum(v.angle * k for v, k in pairs)
+                magnitude = math.prod(v.magnitude**k for v, k in pairs)
+                holds = angle.denominator == 1 and magnitude == 1
+            if holds:
+                found.append((m, combo))
+    return found

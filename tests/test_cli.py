@@ -283,6 +283,13 @@ class TestBooleansAreNotIntegers:
         code, report = _run("verify", str(problem_path), str(witness_path))
         assert code != 2 and "error" not in report
 
+    def test_rational_value(self, tmp_path):
+        doc = _size_one_problem()
+        doc["classes"][0]["eigenvalues"][0]["value"] = {"re": True}
+        code, report = self._classify(tmp_path, doc)
+        assert code == 2
+        assert report["error"].startswith("classes[0].eigenvalues[0].value: ")
+
 
 class TestRelationCap:
     def test_cap_error_is_input_error(self):
@@ -293,6 +300,27 @@ class TestRelationCap:
         assert report["error"] == (
             "RelationSearchCapError: cardinality 2 needs 27 selections, cap is 10"
         )
+
+
+class TestOptionsPerCommand:
+    def test_ignored_options_are_rejected(self, capsys):
+        problem = str(SAMPLES / "rigid_n2_problem.json")
+        witness = str(SAMPLES / "rigid_n2_witness.json")
+        removed = [
+            ["verify", problem, witness, "--relation-cap", "5"],
+            ["verify", problem, witness, "--exhaustive-ties"],
+            ["dim", problem, "--relation-cap", "5"],
+            ["dim", problem, "--exhaustive-ties"],
+            ["good", problem, "--relation-cap", "5"],
+            ["psi-trace", problem, "--relation-cap", "5"],
+            ["generic", problem, "--exhaustive-ties"],
+            ["special", problem, "--exhaustive-ties"],
+        ]
+        for argv in removed:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -30,10 +30,11 @@ from deligne_simpson.eigenvalues import (
     _primes_from,
     _selection_vectors,
     find_first_relation,
+    relation_counts,
 )
 from deligne_simpson.jnf_core import JnfError
 
-from conftest import gr, me, random_shape_tuple, shape
+from conftest import bruteforce_relations, gr, me, random_shape_tuple, shape
 
 
 class TestConsistency:
@@ -301,6 +302,48 @@ class TestIntegerKeysAgainstBruteForce:
         problem = TupleProblem(MULTIPLICATIVE, 2, classes[:3])
         assert find_first_relation(problem) is None
         assert _bruteforce_relation_multiplicative(problem) is None
+
+
+class TestRelationCounts:
+    """The counting fold runs the plan of `find_first_relation`; brute force
+    counts every relation at every m < n."""
+
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    def test_counts_match_bruteforce(self, mode):
+        rng = random.Random(f"counts/{mode}")
+        with_relations = several_at_one_m = 0
+        for n in range(2, 9):
+            checked = 0
+            while checked < 30:
+                plant = rng.randint(1, n // 2) if checked % 2 else 0
+                count = 2 if n > 6 else rng.randint(2, 3)
+                problem = _random_consistent_problem(rng, mode, n, count, plant)
+                if problem is None:
+                    continue
+                checked += 1
+                brute = dict.fromkeys(range(1, n), 0)
+                for m, _ in bruteforce_relations(problem):
+                    brute[m] += 1
+                counts = relation_counts(problem)
+                assert list(counts) == list(range(1, n // 2 + 1))
+                for m in range(1, n):
+                    assert brute[m] == brute[n - m], (problem, brute)
+                for m, k in counts.items():
+                    assert k == brute[m], (problem, counts, brute)
+                with_relations += any(counts.values())
+                several_at_one_m += max(counts.values(), default=0) > 1
+        assert with_relations and several_at_one_m
+
+    def test_cap_error_same_as_first_relation_search(self):
+        shapes = (JnfShape.of(*([1] for _ in range(6))),) * 3
+        problem = generate_generic(shapes, ADDITIVE, seed=0)
+        for cap in (215, 20**3 - 1):
+            with pytest.raises(RelationSearchCapError) as first:
+                find_first_relation(problem, cap=cap)
+            with pytest.raises(RelationSearchCapError) as counted:
+                relation_counts(problem, cap=cap)
+            assert str(counted.value) == str(first.value)
+        assert relation_counts(problem, cap=20**3) == {1: 0, 2: 0, 3: 0}
 
 
 class TestRelationCap:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,10 +18,13 @@ from deligne_simpson import (
     is_generic,
     is_subordinate,
 )
+from deligne_simpson import special as special_module
 from deligne_simpson.criteria import is_good, rigidity_report
+from deligne_simpson.eigenvalues import MULT_ONE, RelationSearchCapError
+from deligne_simpson.jnf_core import JnfError
 from deligne_simpson.special import SpecialSearchError, _n_fold_union
 
-from conftest import gr, me, random_shape_tuple, shape
+from conftest import bruteforce_relations, gr, me, random_shape_tuple, shape
 
 
 class TestFindCertificates:
@@ -126,6 +130,112 @@ class TestClassifySpecialness:
     def test_quasi_generic_skippable(self, n4_special_problem):
         rep = classify_specialness(n4_special_problem, include_quasi_generic=False)
         assert rep.quasi_generic is None
+
+
+# kappa-2 shape tuples, by name: (n1, shapes).  Each has one certificate,
+# diagonal with l = n / n1.  In "l2" (n = 4) a relation at m = 1 is seen
+# by the inner genericity check too; in "l3" (n = 6) a relation at m = 2
+# is neither a forced multiple nor an inner relation.
+_FAMILIES = {
+    "l2": (2, (shape([2], [1, 1]),) * 3),
+    "l3": (2, (shape([1, 1], [1, 1], [1, 1]),) * 2 + (shape([1, 1], [2, 1, 1]),)),
+}
+
+
+def _family_problem(rng, mode, family):
+    """A problem of the family with values from small pools whose inner
+    eigenvalues sum to zero (multiply to one), so that it is consistent and
+    relations at several m occur; None on a collision."""
+    n1, shapes = _FAMILIES[family]
+    slots = [(j, i) for j, s in enumerate(shapes) for i in range(s.label_count)]
+    inner = {(j, i): shapes[j].multiplicity(i) // n1 for j, i in slots}
+    absorber, rest = slots[0], slots[1:]
+    assert inner[absorber] == 1
+    if mode == ADDITIVE:
+        values = {slot: gr(rng.randint(-3, 3), rng.randint(-2, 2)) for slot in rest}
+        values[absorber] = -sum((v * inner[slot] for slot, v in values.items()), gr(0))
+    else:
+        values = {
+            slot: me(
+                Fraction(rng.randint(0, 11), 12),
+                Fraction(rng.randint(1, 3)) ** rng.randint(-1, 1),
+            )
+            for slot in rest
+        }
+        total = MULT_ONE
+        for slot, v in values.items():
+            total = total * v.power(inner[slot])
+        values[absorber] = total.inverse()
+    try:
+        classes = [
+            ClassSpec(s, [values[j, i] for i in range(s.label_count)])
+            for j, s in enumerate(shapes)
+        ]
+    except JnfError:
+        return None
+    return TupleProblem(mode, shapes[0].n, classes)
+
+
+def _bruteforce_quasi_generic(problem):
+    """Every relation is a forced multiple s * (inner multiplicities),
+    1 <= s < n1, of one diagonal certificate with generic inner values."""
+    relations = {counts for _, counts in bruteforce_relations(problem)}
+    for cert in find_special_certificates(problem):
+        if not cert.diagonal or bruteforce_relations(cert.inner_problem):
+            continue
+        forced = {
+            tuple(
+                tuple(s * mu for mu in c.shape.multiplicities())
+                for c in cert.inner_classes
+            )
+            for s in range(1, cert.n1)
+        }
+        if relations <= forced:
+            return True
+    return False
+
+
+class TestQuasiGenericAgainstBruteForce:
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_family(self, family, mode):
+        rng = random.Random(f"quasi/{family}/{mode}")
+        outcomes = []
+        while len(outcomes) < 80:
+            problem = _family_problem(rng, mode, family)
+            if problem is None:
+                continue
+            rep = classify_specialness(problem)
+            assert rep.special_diagonal
+            assert rep.quasi_generic == _bruteforce_quasi_generic(problem), problem
+            outcomes.append(rep.quasi_generic)
+        assert True in outcomes and False in outcomes
+
+    @pytest.mark.parametrize(
+        "cap, message",
+        [
+            (7, "cardinality 1 needs 8 selections, cap is 7"),
+            (26, "cardinality 2 needs 27 selections, cap is 26"),
+        ],
+    )
+    def test_cap_error_before_inner_genericity(self, monkeypatch, cap, message):
+        rng = random.Random(5)
+        problem = None
+        while problem is None:
+            problem = _family_problem(rng, ADDITIVE, "l2")
+        inner_checks = []
+
+        def recording_is_generic(*args, **kwargs):
+            inner_checks.append(args)
+            return is_generic(*args, **kwargs)
+
+        monkeypatch.setattr(special_module, "is_generic", recording_is_generic)
+        with pytest.raises(RelationSearchCapError) as err:
+            classify_specialness(problem, relation_cap=cap)
+        assert str(err.value) == message
+        assert inner_checks == []
+        classify_specialness(problem, relation_cap=27)
+        assert inner_checks
 
 
 class TestDiagonalCompleteness:
