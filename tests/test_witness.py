@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,7 @@ from deligne_simpson import (
     verify_relation,
 )
 from deligne_simpson.criteria import rigidity_report
+from deligne_simpson.exactnum import format_rational
 from deligne_simpson.witness import DeformationError, eigenvalue_as_gaussian
 
 from conftest import gr, me, random_relation_tuple, shape
@@ -317,3 +320,88 @@ class TestDeformStep:
         assert res1.residual > 0
         assert res1.residual / res2.residual >= Fraction(39, 10)
         assert res1.bound is None or res1.residual <= res1.bound
+
+
+DEFORM_PINS = Path(__file__).resolve().parent / "data" / "deform_pins.json"
+
+
+def _pinned_deform_cases():
+    """Name -> DeformationRequest: additive and multiplicative bases with
+    trivial centralizer at n = 2 and 3, directions meeting the first-order
+    constraint."""
+    add2 = MatrixTuple(
+        ADDITIVE,
+        [Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]]), Matrix([[0, -1], [-1, 0]])],
+    )
+    mul2 = MatrixTuple(
+        MULTIPLICATIVE,
+        [Matrix([[1, 1], [0, 1]]), Matrix([[0, -1], [1, 0]]), Matrix([[0, 1], [-1, 1]])],
+    )
+    add3 = MatrixTuple(
+        ADDITIVE,
+        [
+            Matrix([[1, 0, 0], [0, 4, 0], [0, 0, 6]]),
+            Matrix([[1, 0, 0], [1, 0, 0], [1, 0, 0]]),
+            Matrix([[-2, 0, 0], [-1, -4, 0], [-1, 0, -6]]),
+        ],
+    )
+    mul3 = MatrixTuple(
+        MULTIPLICATIVE,
+        [
+            Matrix([[1, 0, 2], [1, 1, 3], [1, -2, 1]]),
+            Matrix([[1, 0, 2], [1, 1, 1], [0, 1, 0]]),
+            Matrix([[3, -2, -2], [-3, 2, 1], [2, -1, 0]]),
+        ],
+    )
+    return {
+        "additive_n2": DeformationRequest(add2, DIRECTIONS_N2, Fraction(1, 64)),
+        "multiplicative_n2": DeformationRequest(
+            mul2,
+            (Matrix([[1, 0], [0, 0]]), Matrix([[0, 0], [1, 0]]), Matrix([[0, 0], [2, 0]])),
+            Fraction(1, 256),
+        ),
+        "additive_n3": DeformationRequest(
+            add3,
+            (
+                Matrix([[1, 2, 0], [0, -1, 1], [1, 0, 0]]),
+                Matrix([[0, 1, 1], [2, 0, 0], [0, 1, 1]]),
+                Matrix([[0, 0, -1], [1, 1, 0], [0, 0, -2]]),
+            ),
+            Fraction(1, 128),
+        ),
+        # sum of tr(M_j^-1 N_j) = 0
+        "multiplicative_n3": DeformationRequest(
+            mul3,
+            (
+                Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+                Matrix([[1, 0, 0], [0, -1, 0], [0, 1, 0]]),
+                Matrix([[-3, 2, 3], [4, -2, -1], [-2, 1, 1]]),
+            ),
+            Fraction(1, 128),
+        ),
+    }
+
+
+def _render_deform(res) -> dict:
+    def mat(m):
+        return [[str(x) for x in row] for row in m.rows]
+
+    return {
+        "x_matrices": [mat(x) for x in res.x_matrices],
+        "deformed": [mat(m) for m in res.deformed.matrices],
+        "residual": format_rational(res.residual),
+        "bound": None if res.bound is None else format_rational(res.bound),
+    }
+
+
+class TestDeformPinned:
+    """Exact first-order solutions, deformed tuples, residuals and bounds,
+    pinned in `tests/data/deform_pins.json`."""
+
+    @pytest.mark.parametrize("case", sorted(_pinned_deform_cases()))
+    def test_deform_step_is_pinned(self, case):
+        pins = json.loads(DEFORM_PINS.read_text())
+        assert _render_deform(deform_step(_pinned_deform_cases()[case])) == pins[case]
+
+    def test_every_pin_has_a_case(self):
+        assert sorted(json.loads(DEFORM_PINS.read_text())) == sorted(_pinned_deform_cases())
