@@ -9,6 +9,7 @@ answer where documented, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .eigenvalues import (
 )
 from .exactnum import ExactNumberError, GaussianRational, format_rational, parse_rational
 from .jnf_core import ClassSpec, JnfError, JnfShape, Partition
-from .linalg import LinalgError, Matrix
+from .linalg import LinalgError, Matrix, commutator_operator, rank
 from .solver import (
     UNKNOWN,
     Verdict,
@@ -44,7 +45,6 @@ from .witness import (
     MatrixTuple,
     WitnessError,
     WitnessPreconditionError,
-    centralizer_dimension,
     check_surjectivity,
     class_membership,
     deform_step,
@@ -436,15 +436,19 @@ def _cmd_verify(args) -> tuple[int, dict]:
     memberships = [
         class_membership(m, c) for m, c in zip(wit.matrices, problem.classes)
     ]
-    cdim = centralizer_dimension(wit)
+    # one rank gives both dimensions, as in centralizer_dimension and
+    # local_dimension
+    tangent_rank = rank(commutator_operator(wit.matrices))
+    cdim = wit.n * wit.n - tangent_rank
     surjective = check_surjectivity(wit.matrices[:-1]) if wit.count > 1 else None
     irred = is_irreducible(wit)
     chi = euler_characteristic(wit)
-    kappa = rigidity_report(problem.shapes).kappa
+    rigidity = rigidity_report(problem.shapes)
+    kappa = rigidity.kappa
     local_dim = None
     local_dim_note = None
     if relation and all(memberships):
-        local_dim = local_dimension(wit, problem.classes)
+        local_dim = rigidity.sum_d - tangent_rank
     else:
         local_dim_note = "skipped: relation or membership failed"
     expected = expected_dimension(problem)
@@ -534,7 +538,10 @@ def _write_json(path: str, doc) -> None:
 # -- entry point ------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="dsp",
         description="Exact decision and verification tools for matrix tuples "

@@ -141,7 +141,17 @@ def psi_reduce(
                     f"class {j}: label {lab} does not attain the maximal block count"
                 )
 
-    drop = n - n1
+    return PsiReduction(
+        shapes=_shrink(shapes, chosen_labels, n1), chosen_labels=chosen_labels, n1=n1
+    )
+
+
+def _shrink(
+    shapes: tuple[JnfShape, ...], chosen_labels: tuple[int, ...], n1: int
+) -> tuple[JnfShape, ...]:
+    """The reduction step proper, on a level already known to be reducible
+    to size n1: shrink the n - n1 smallest blocks of each chosen label."""
+    drop = shapes[0].n - n1
     reduced = []
     for s, lab in zip(shapes, chosen_labels):
         parts = list(s.blocks[lab].parts)
@@ -160,7 +170,7 @@ def psi_reduce(
         if reduced_shape.n != n1:
             raise CriteriaError("internal: reduced shape has wrong size")
         reduced.append(reduced_shape)
-    return PsiReduction(shapes=tuple(reduced), chosen_labels=chosen_labels, n1=n1)
+    return tuple(reduced)
 
 
 @dataclass(frozen=True)
@@ -244,11 +254,9 @@ def is_good(
             steps.append(PsiStep(current[0].n, current, report, None, None))
             trace = PsiTrace(steps=tuple(steps), terminal=terminal)
             break
-        reduction = psi_reduce(current)
-        steps.append(
-            PsiStep(current[0].n, current, report, reduction.chosen_labels, n1)
-        )
-        current = reduction.shapes
+        chosen = tuple(max_block_labels(s)[0] for s in current)
+        steps.append(PsiStep(current[0].n, current, report, chosen, n1))
+        current = _shrink(current, chosen, n1)
 
     branches = 1
     if exhaustive_ties:
@@ -265,14 +273,13 @@ def _explore_branches(shapes: tuple[JnfShape, ...], expected: bool) -> int:
     def verdict(current: tuple[JnfShape, ...]) -> bool:
         if current in memo:
             return memo[current]
-        _, terminal, good, _ = _level_status(current)
+        _, terminal, good, n1 = _level_status(current)
         if terminal is not None:
             memo[current] = good
             return good
         results = set()
         for choice in product(*(max_block_labels(s) for s in current)):
-            reduced = psi_reduce(current, chosen_labels=choice)
-            results.add(verdict(reduced.shapes))
+            results.add(verdict(_shrink(current, choice, n1)))
         if len(results) != 1:
             raise TieVerdictError(
                 f"tie branches disagree on goodness at tuple {current}"

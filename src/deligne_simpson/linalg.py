@@ -3,6 +3,15 @@
 Everything is deterministic: pivots are chosen as the first nonzero entry
 scanning rows top-down and columns left-right, so ranks, solutions and
 inverses are bit-identical across runs.
+
+Every witness check ranks one tangent map, built by `commutator_operator`:
+(X_1..X_k) -> sum of [M_j, X_j] with each X_j in sl_n.  Its rows index
+vec(Y), the row-major flattening of an n x n matrix Y (entry (a, b) at
+row a * n + b); its columns run over the matrices in tuple order and,
+within one matrix, over `sl_basis(n)` in order: the off-diagonal units
+E_rs row by row, then E_ii - E_(i+1)(i+1).  So the matrix is
+n^2 x k(n^2 - 1), and its image is the trace-form orthogonal complement
+of the tuple's centralizer.
 """
 
 from __future__ import annotations
@@ -200,13 +209,6 @@ def rank(matrix: Matrix) -> int:
     return len(_echelon(rows))
 
 
-def rank_of_rows(rows: Iterable[Iterable]) -> int:
-    work = [[_entry(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    return len(_echelon(work))
-
-
 def solve_first(matrix: Matrix, rhs: Sequence[GaussianRational]):
     """One exact solution of matrix @ x = rhs with all free variables set to
     zero, or None when the system is inconsistent."""
@@ -262,10 +264,6 @@ def vec(matrix: Matrix) -> tuple[GaussianRational, ...]:
     return tuple(x for row in matrix.rows for x in row)
 
 
-def matrix_from_vec(v: Sequence[GaussianRational], n: int) -> Matrix:
-    return Matrix([v[i * n : (i + 1) * n] for i in range(n)])
-
-
 def basis_matrix(n: int, r: int, s: int) -> Matrix:
     rows = [[GR_ZERO] * n for _ in range(n)]
     rows[r][s] = GR_ONE
@@ -283,29 +281,47 @@ def sl_basis(n: int) -> list[Matrix]:
     return out
 
 
-def commutator_operator(a: Matrix) -> Matrix:
-    """n^2 x n^2 matrix of X -> aX - Xa acting on row-major vectorizations."""
-    if not a.is_square:
-        raise LinalgError("commutator operator of a non-square matrix")
-    n = a.nrows
-    size = n * n
-    cols: list[list[GaussianRational]] = [[GR_ZERO] * size for _ in range(size)]
-    for r in range(n):
-        for s in range(n):
-            col = cols[r * n + s]
-            for i in range(n):
-                if a.rows[i][r]:
-                    col[i * n + s] = col[i * n + s] + a.rows[i][r]
-            for j in range(n):
-                if a.rows[s][j]:
-                    col[r * n + j] = col[r * n + j] - a.rows[s][j]
-    return Matrix([[cols[c][r] for c in range(size)] for r in range(size)])
+def commutator_operator(
+    matrices: Sequence[Matrix],
+    outer: Sequence[tuple[Matrix, Matrix]] | None = None,
+) -> Matrix:
+    """The tangent map (X_1..X_k) -> sum of L_j [M_j, X_j] R_j as a matrix.
+
+    Column j * (n^2 - 1) + i is vec(L_j [M_j, b_i] R_j), b_i the i-th
+    element of sl_basis(n); `outer` holds the pairs (L_j, R_j), identities
+    when omitted.  Each column is read off the entries through
+    L [M, E_rs] R = (LM) E_rs R - L E_rs (MR).  At n = 1 the map is zero on
+    a zero space; one zero column stands for it, so its rank is 0.
+    """
+    matrices = tuple(matrices)
+    n = matrices[0].nrows
+    if n == 1:
+        return Matrix.zeros(1, 1)
+    identity = Matrix.identity(n)
+    columns: list[list[GaussianRational]] = []
+    for j, m in enumerate(matrices):
+        left, right = (identity, identity) if outer is None else outer[j]
+        left_cols, lm_cols = _nonzero(zip(*left.rows)), _nonzero(zip(*(left * m).rows))
+        right_rows, mr_rows = _nonzero(right.rows), _nonzero((m * right).rows)
+
+        def image(r: int, s: int) -> list[GaussianRational]:
+            v = [GR_ZERO] * (n * n)
+            for a, x in lm_cols[r]:
+                for b, y in right_rows[s]:
+                    v[a * n + b] = v[a * n + b] + x * y
+            for a, x in left_cols[r]:
+                for b, y in mr_rows[s]:
+                    v[a * n + b] = v[a * n + b] - x * y
+            return v
+
+        columns.extend(image(r, s) for r in range(n) for s in range(n) if r != s)
+        diagonal = [image(i, i) for i in range(n)]
+        columns.extend(
+            [x - y for x, y in zip(diagonal[i], diagonal[i + 1])] for i in range(n - 1)
+        )
+    return Matrix(zip(*columns))
 
 
-def operator_columns(images: Sequence[Matrix]) -> Matrix:
-    """Matrix whose columns are the vectorizations of the given images."""
-    if not images:
-        raise LinalgError("no images")
-    vecs = [vec(m) for m in images]
-    size = len(vecs[0])
-    return Matrix([[v[r] for v in vecs] for r in range(size)])
+def _nonzero(lines) -> list[list[tuple[int, GaussianRational]]]:
+    """Per line, the (position, entry) pairs of its nonzero entries."""
+    return [[(i, x) for i, x in enumerate(line) if x] for line in lines]

@@ -169,7 +169,7 @@ def classify(
         weak_dsp=weak,
         justification=tuple(rules),
         rigidity=report,
-        expected_dimension=problem.n * problem.n + 1 - report.kappa,
+        expected_dimension=expected_dimension(problem),
         good=goodres,
         genericity=genericity,
         genericity_note=note,

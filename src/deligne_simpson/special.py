@@ -40,8 +40,6 @@ class SpecialCertificate:
     subordinate_classes: tuple[ClassSpec, ...]
     diagonal: bool
     inner_kappa: int
-    inner_tuple_good: bool
-    inner_identity: bool
     inner_problem: TupleProblem
 
 
@@ -166,8 +164,6 @@ def _build_certificate(problem, l, n1, joint) -> SpecialCertificate | None:
         subordinate_classes=tuple(subordinate_classes),
         diagonal=diagonal,
         inner_kappa=inner_kappa,
-        inner_tuple_good=True,
-        inner_identity=True,
         inner_problem=inner_problem,
     )
 

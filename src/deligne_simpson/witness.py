@@ -21,10 +21,9 @@ from .jnf_core import ClassSpec, d_of, rank_sequence
 from .linalg import (
     Matrix,
     SingularMatrixError,
+    commutator_operator,
     inverse,
-    operator_columns,
     rank,
-    rank_of_rows,
     sl_basis,
     solve_first,
     vec,
@@ -162,14 +161,12 @@ def class_membership(matrix: Matrix, spec: ClassSpec) -> bool:
 
 
 def centralizer_dimension(t: MatrixTuple) -> int:
-    """Dimension of {X : XM_j = M_jX for all j}; 1 means trivial."""
-    n = t.n
-    rows: list[list[GaussianRational]] = []
-    from .linalg import commutator_operator
+    """Dimension of {X : XM_j = M_jX for all j}; 1 means trivial.
 
-    for m in t.matrices:
-        rows.extend(list(r) for r in commutator_operator(m).rows)
-    return n * n - rank_of_rows(rows)
+    The centralizer is the trace-form orthogonal complement of the tangent
+    map's image, so its dimension is n^2 minus that map's rank.
+    """
+    return t.n * t.n - rank(commutator_operator(t.matrices))
 
 
 def check_surjectivity(matrices: Sequence[Matrix]) -> bool:
@@ -182,11 +179,7 @@ def check_surjectivity(matrices: Sequence[Matrix]) -> bool:
     if not matrices:
         raise WitnessError("need at least one matrix")
     n = matrices[0].nrows
-    basis = sl_basis(n)
-    images = [m * b - b * m for m in matrices for b in basis]
-    if n == 1:
-        return True
-    return rank(operator_columns(images)) == n * n - 1
+    return rank(commutator_operator(matrices)) == n * n - 1
 
 
 @dataclass(frozen=True)
@@ -253,25 +246,15 @@ def local_dimension(t: MatrixTuple, classes: Sequence[ClassSpec]) -> int:
     for j, (m, c) in enumerate(zip(t.matrices, classes)):
         if not class_membership(m, c):
             raise WitnessPreconditionError(f"matrix {j} is not in its declared class")
-    n = t.n
-    basis = sl_basis(n)
-    images = [m * b - b * m for m in t.matrices for b in basis]
-    tangent_rank = rank(operator_columns(images)) if n > 1 else 0
-    return sum(d_of(c.shape) for c in classes) - tangent_rank
+    return sum(d_of(c.shape) for c in classes) - rank(commutator_operator(t.matrices))
 
 
 def euler_characteristic(t: MatrixTuple) -> int:
     """2n^2 minus the per-matrix class dimensions, each computed from the
-    matrix itself via its commutant; equals the rigidity index of the
-    tuple's classes."""
-    from .linalg import commutator_operator
-
+    matrix itself as the rank of X -> [M_j, X]; equals the rigidity index
+    of the tuple's classes."""
     n = t.n
-    total_drop = 0
-    for m in t.matrices:
-        commutant = n * n - rank(commutator_operator(m))
-        total_drop += n * n - commutant
-    return 2 * n * n - total_drop
+    return 2 * n * n - sum(rank(commutator_operator((m,))) for m in t.matrices)
 
 
 @dataclass(frozen=True)
@@ -365,12 +348,12 @@ def deform_step(req: DeformationRequest) -> DeformationResult:
         raise DeformationError("base tuple has a non-trivial centralizer")
 
     if base.mode == ADDITIVE:
-        total = directions[0]
+        outer = None
+        drift = directions[0]
         for d in directions[1:]:
-            total = total + d
-        if total.trace() != GR_ZERO:
+            drift = drift + d
+        if drift.trace() != GR_ZERO:
             raise DeformationError("additive direction constraint tr(sum N_j) = 0 fails")
-        x_matrices = _solve_first_order_additive(base, directions)
     else:
         constraint = GR_ZERO
         for m, d in zip(base.matrices, directions):
@@ -379,7 +362,20 @@ def deform_step(req: DeformationRequest) -> DeformationResult:
             raise DeformationError(
                 "multiplicative direction constraint sum tr(M_j^-1 N_j) = 0 fails"
             )
-        x_matrices = _solve_first_order_multiplicative(base, directions)
+        # d/d eps of the product: the j-th factor's change sits between the
+        # product of the factors before it and the product of those after
+        k = base.count
+        prefix = [Matrix.identity(n)]
+        for m in base.matrices[:-1]:
+            prefix.append(prefix[-1] * m)
+        suffix = [Matrix.identity(n)] * k
+        for j in range(k - 2, -1, -1):
+            suffix[j] = base.matrices[j + 1] * suffix[j + 1]
+        outer = tuple(zip(prefix, suffix))
+        drift = prefix[0] * directions[0] * suffix[0]
+        for j in range(1, k):
+            drift = drift + prefix[j] * directions[j] * suffix[j]
+    x_matrices = _solve_first_order(base, drift, outer)
 
     deformed = []
     for m, d, x in zip(base.matrices, directions, x_matrices):
@@ -411,56 +407,18 @@ def deform_step(req: DeformationRequest) -> DeformationResult:
     )
 
 
-def _solve_first_order_additive(base: MatrixTuple, directions) -> list[Matrix]:
-    n = base.n
-    basis = sl_basis(n) if n > 1 else []
-    images = [m * b - b * m for m in base.matrices for b in basis]
-    rhs_matrix = directions[0]
-    for d in directions[1:]:
-        rhs_matrix = rhs_matrix + d
-    rhs = [-x for x in vec(rhs_matrix)]
-    return _coords_to_matrices(base, basis, images, rhs)
-
-
-def _solve_first_order_multiplicative(base: MatrixTuple, directions) -> list[Matrix]:
-    n = base.n
-    k = base.count
-    prefix = [Matrix.identity(n)]
-    for m in base.matrices[:-1]:
-        prefix.append(prefix[-1] * m)
-    suffix = [Matrix.identity(n)] * k
-    for j in range(k - 2, -1, -1):
-        suffix[j] = base.matrices[j + 1] * suffix[j + 1]
-    basis = sl_basis(n) if n > 1 else []
-    images = []
-    for j, m in enumerate(base.matrices):
-        for b in basis:
-            images.append(prefix[j] * (m * b - b * m) * suffix[j])
-    rhs_matrix = None
-    for j, d in enumerate(directions):
-        term = prefix[j] * d * suffix[j]
-        rhs_matrix = term if rhs_matrix is None else rhs_matrix + term
-    rhs = [-x for x in vec(rhs_matrix)]
-    return _coords_to_matrices(base, basis, images, rhs)
-
-
-def _coords_to_matrices(base: MatrixTuple, basis, images, rhs) -> list[Matrix]:
-    n = base.n
-    if not basis:
-        # n == 1: commutators vanish; the constraint already forces rhs = 0
-        if any(rhs):
-            raise DeformationError("no first-order solution at size 1")
-        return [Matrix.zeros(1, 1) for _ in range(base.count)]
-    system = operator_columns(images)
-    coords = solve_first(system, rhs)
+def _solve_first_order(base: MatrixTuple, drift: Matrix, outer) -> list[Matrix]:
+    """Trace-zero X_j with sum of L_j [M_j, X_j] R_j = -drift, the free
+    coordinates of the exact solve set to zero."""
+    coords = solve_first(commutator_operator(base.matrices, outer), [-x for x in vec(drift)])
     if coords is None:
         raise DeformationError("first-order system is unsolvable")
-    dim = len(basis)
+    n = base.n
+    basis = sl_basis(n)
     out = []
     for j in range(base.count):
         acc = Matrix.zeros(n, n)
-        for i, b in enumerate(basis):
-            c = coords[j * dim + i]
+        for b, c in zip(basis, coords[j * len(basis) :]):
             if c:
                 acc = acc + b.scale(c)
         out.append(acc)

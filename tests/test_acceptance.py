@@ -180,7 +180,7 @@ def test_criterion_3_d_oracle_equivalence():
             # independent oracle: orbit dimension = rank of X -> [G, X]
             # (n^2 minus the exact null-space dimension of the commutation
             # system) at an explicit Jordan realization
-            if d_of(s) != rank(commutator_operator(_jordan_matrix(s))):
+            if d_of(s) != rank(commutator_operator((_jordan_matrix(s),))):
                 ok = False
                 break
     elapsed = time.monotonic() - t0

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from deligne_simpson import cli
 from deligne_simpson.cli import (
     CliInputError,
     main,
@@ -321,6 +322,37 @@ class TestOptionsPerCommand:
                 main(argv)
             assert exc.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestParserBuiltOnce:
+    """The parser is built once per process; no parse may carry state into
+    the next one."""
+
+    def test_reports_match_a_fresh_parser(self, capsys):
+        problem = str(SAMPLES / "n9_good_not_special.json")
+        build = cli._build_parser
+        assert build() is build()
+        bad = ["classify", problem, "--no-such-option"]
+        for parser in (build(), build.__wrapped__()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(bad)
+            assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        for argv in (
+            ["classify", problem, "--exhaustive-ties"],
+            ["classify", problem],
+            ["good", problem, "--exhaustive-ties"],
+            ["good", problem],
+        ):
+            cached = build().parse_args(argv)
+            fresh = build.__wrapped__().parse_args(argv)
+            assert vars(cached) == vars(fresh)
+            assert run_command(argv) == fresh.func(fresh)
+        assert build().parse_args(["classify", problem]).exhaustive_ties is False
+        assert run_command(["good", problem])[1]["branches_explored"] == 1
 
 
 class TestDeterminism:

@@ -97,7 +97,7 @@ class TestInvariants:
         # exact independent route: orbit dimension = rank of X -> [G, X]
         # at an explicit Jordan matrix realizing the shape
         for s in (shape([3]), shape([2, 1]), shape([1, 1], [2]), shape([2], [1])):
-            assert d_of(s) == rank(commutator_operator(_jordan_matrix(s)))
+            assert d_of(s) == rank(commutator_operator((_jordan_matrix(s),)))
 
 
 def _jordan_matrix(s: JnfShape) -> Matrix:

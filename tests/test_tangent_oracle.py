@@ -1,6 +1,8 @@
 """Witness ranks against ranks built independently with plain sympy.
 
-Every rank-based witness check is compared with its defining formula:
+The tangent-map builder's columns are compared entry by entry with
+L_j (M_j b - b M_j) R_j multiplied out in sympy, and every rank-based
+witness check with its defining formula:
 the centralizer as the null space of X -> ([M_1, X], .., [M_k, X]), the
 class dimensions as ranks of X -> [M_j, X], and the summed tangent map
 (X_1..X_k) -> sum of [M_j, X_j] over the full gl_n basis.  Tuples are
@@ -31,7 +33,7 @@ from deligne_simpson import (
     euler_characteristic,
     local_dimension,
 )
-from deligne_simpson.linalg import inverse
+from deligne_simpson.linalg import commutator_operator, inverse, sl_basis
 
 from conftest import random_relation_tuple
 
@@ -193,3 +195,30 @@ def test_cases_cover_both_outcomes():
     centralizers = {centralizer_dimension(t) == 1 for _, t, _ in CASES}
     assert centralizers == {True, False}
     assert sum(values is not None for _, _, values in CASES) >= 30
+
+
+@pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+def test_builder_columns_are_the_commutator_images(mode):
+    """Column j * (n^2 - 1) + i is vec(L_j [M_j, b_i] R_j), b_i in
+    sl_basis order; the multiplicative case passes arbitrary outer factors."""
+    rng = random.Random(29)
+    for n in range(1, 5):
+        t = random_relation_tuple(rng, n, 3, mode=mode)
+        outer = None
+        if mode == MULTIPLICATIVE:
+            outer = [(_unimodular(rng, n), _unimodular(rng, n).scale(GaussianRational(1, 2)))
+                     for _ in range(t.count)]
+        op = commutator_operator(t.matrices, outer)
+        basis = sl_basis(n)
+        if n == 1:
+            assert op == Matrix.zeros(1, 1)
+            continue
+        assert (op.nrows, op.ncols) == (n * n, t.count * len(basis))
+        for j, m in enumerate(t.matrices):
+            left, right = (sympy.eye(n), sympy.eye(n)) if outer is None else map(_sym, outer[j])
+            m = _sym(m)
+            for i, b in enumerate(basis):
+                b = _sym(b)
+                expected = _flat(left * (m * b - b * m) * right)
+                column = _flat(_sym(Matrix([[op[r, j * len(basis) + i]] for r in range(n * n)])))
+                assert all(sympy.expand(x - y) == 0 for x, y in zip(column, expected))
