@@ -1,6 +1,7 @@
 """Command-line surface: problem/witness ingestion and machine reports.
 
-Commands: classify, good, generic, special, psi-trace, verify, dim, deform.
+Commands: classify, good (alias psi-trace), generic, special, verify, dim,
+deform.
 Reports are JSON with sorted keys (byte-stable for identical inputs); pass
 --human for a prose rendering.  Exit status: 0 success, 1 negative/unknown
 answer where documented, 2 input error.
@@ -30,7 +31,7 @@ from .eigenvalues import (
 )
 from .exactnum import ExactNumberError, GaussianRational, format_rational, parse_rational
 from .jnf_core import ClassSpec, JnfError, JnfShape, Partition
-from .linalg import LinalgError, Matrix, commutator_operator, rank
+from .linalg import LinalgError, Matrix, commutator_operator, pivot_columns
 from .solver import (
     UNKNOWN,
     Verdict,
@@ -45,7 +46,6 @@ from .witness import (
     MatrixTuple,
     WitnessError,
     WitnessPreconditionError,
-    check_surjectivity,
     class_membership,
     deform_step,
     euler_characteristic,
@@ -77,7 +77,7 @@ def _is_int(x) -> bool:
 
 
 def _parse_value(doc, mode: str, path: str):
-    _expect(isinstance(doc, dict), path, "eigenvalue value must be an object")
+    _expect(isinstance(doc, dict), path, "must be an object")
     try:
         if mode == ADDITIVE:
             _expect(
@@ -183,14 +183,6 @@ def serialize_problem(problem: TupleProblem) -> dict:
     }
 
 
-def _parse_entry(doc, path: str) -> GaussianRational:
-    _expect(isinstance(doc, dict) and "re" in doc, path, 'entries use {"re": "p/q", "im": "p/q"}')
-    try:
-        return GaussianRational(parse_rational(doc["re"]), parse_rational(doc.get("im", "0")))
-    except ExactNumberError as exc:
-        raise CliInputError(f"{path}: {exc}") from exc
-
-
 def parse_witness(doc) -> MatrixTuple:
     _expect(isinstance(doc, dict), "$", "witness document must be an object")
     mode = doc.get("mode")
@@ -214,7 +206,9 @@ def parse_witness(doc) -> MatrixTuple:
                 f"{mpath}[{i}]",
                 f"must be a list of {n} entries",
             )
-            rows.append([_parse_entry(e, f"{mpath}[{i}][{k}]") for k, e in enumerate(rdoc)])
+            rows.append(
+                [_parse_value(e, ADDITIVE, f"{mpath}[{i}][{k}]") for k, e in enumerate(rdoc)]
+            )
         matrices.append(Matrix(rows))
     try:
         return MatrixTuple(mode, matrices)
@@ -228,10 +222,7 @@ def serialize_witness(t: MatrixTuple) -> dict:
         "n": t.n,
         "matrices": [
             [
-                [
-                    {"re": format_rational(x.re), "im": format_rational(x.im)}
-                    for x in row
-                ]
+                [_value_to_json(x) for x in row]
                 for row in m.rows
             ]
             for m in t.matrices
@@ -240,10 +231,6 @@ def serialize_witness(t: MatrixTuple) -> dict:
 
 
 # -- report helpers -------------------------------------------------------------
-
-
-def _shape_json(shape: JnfShape):
-    return shape.as_lists()
 
 
 def _relation_json(rel: NonGenericityRelation | None):
@@ -258,7 +245,7 @@ def _trace_json(trace: PsiTrace):
         "levels": [
             {
                 "n": step.n,
-                "shapes": [_shape_json(s) for s in step.shapes],
+                "shapes": [s.as_lists() for s in step.shapes],
                 "kappa": step.report.kappa,
                 "sum_r": step.report.sum_r,
                 "chosen_labels": list(step.chosen_labels) if step.chosen_labels else None,
@@ -296,8 +283,8 @@ def _certificate_json(cert):
         "n1": cert.n1,
         "diagonal": cert.diagonal,
         "inner_kappa": cert.inner_kappa,
-        "inner_shapes": [_shape_json(c.shape) for c in cert.inner_classes],
-        "subordinate_shapes": [_shape_json(c.shape) for c in cert.subordinate_classes],
+        "inner_shapes": [c.shape.as_lists() for c in cert.inner_classes],
+        "subordinate_shapes": [c.shape.as_lists() for c in cert.subordinate_classes],
     }
 
 
@@ -371,7 +358,7 @@ def _cmd_good(args) -> tuple[int, dict]:
     problem = _load_problem(args.problem)
     result = is_good(problem.shapes, exhaustive_ties=args.exhaustive_ties)
     report = {
-        "command": "good",
+        "command": args.command,
         "good": result.good,
         "branches_explored": result.branches_explored,
         "trace": _trace_json(result.trace),
@@ -416,17 +403,6 @@ def _cmd_special(args) -> tuple[int, dict]:
     return (EXIT_OK if result.special else EXIT_NEGATIVE), report
 
 
-def _cmd_psi_trace(args) -> tuple[int, dict]:
-    problem = _load_problem(args.problem)
-    result = is_good(problem.shapes, exhaustive_ties=args.exhaustive_ties)
-    report = {
-        "command": "psi-trace",
-        "good": result.good,
-        "trace": _trace_json(result.trace),
-    }
-    return (EXIT_OK if result.good else EXIT_NEGATIVE), report
-
-
 def _cmd_verify(args) -> tuple[int, dict]:
     problem = _load_problem(args.problem)
     wit = _load_witness(args.witness)
@@ -436,11 +412,15 @@ def _cmd_verify(args) -> tuple[int, dict]:
     memberships = [
         class_membership(m, c) for m, c in zip(wit.matrices, problem.classes)
     ]
-    # one rank gives both dimensions, as in centralizer_dimension and
-    # local_dimension
-    tangent_rank = rank(commutator_operator(wit.matrices))
-    cdim = wit.n * wit.n - tangent_rank
-    surjective = check_surjectivity(wit.matrices[:-1]) if wit.count > 1 else None
+    # one elimination of the tangent map gives the centralizer dimension,
+    # the local dimension and, from the pivots among the columns of the
+    # first k - 1 matrices, surjectivity without the last matrix
+    pivots = pivot_columns(commutator_operator(wit.matrices))
+    cdim = wit.n * wit.n - len(pivots)
+    surjective = None
+    if wit.count > 1:
+        leading = (wit.count - 1) * (wit.n * wit.n - 1)
+        surjective = sum(c < leading for c in pivots) == wit.n * wit.n - 1
     irred = is_irreducible(wit)
     chi = euler_characteristic(wit)
     rigidity = rigidity_report(problem.shapes)
@@ -448,7 +428,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
     local_dim = None
     local_dim_note = None
     if relation and all(memberships):
-        local_dim = rigidity.sum_d - tangent_rank
+        local_dim = rigidity.sum_d - len(pivots)
     else:
         local_dim_note = "skipped: relation or membership failed"
     expected = expected_dimension(problem)
@@ -567,7 +547,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subordinate-classes", help="problem document listing the witness classes")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("good", help="goodness of the shape tuple")
+    p = sub.add_parser("good", aliases=["psi-trace"],
+                       help="goodness of the shape tuple and its reduction chain")
     add_common(p, exhaustive_ties=True)
     p.set_defaults(func=_cmd_good)
 
@@ -582,10 +563,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("special", help="search for repeated-block certificates")
     add_common(p, relation_cap=True)
     p.set_defaults(func=_cmd_special)
-
-    p = sub.add_parser("psi-trace", help="full reduction chain")
-    add_common(p, exhaustive_ties=True)
-    p.set_defaults(func=_cmd_psi_trace)
 
     p = sub.add_parser("verify", help="all witness checks against a problem")
     add_common(p)

@@ -37,7 +37,6 @@ TERMINAL_N_EQUALS_1 = "reached_n_equals_1"
 TERMINAL_OMEGA = "reached_omega"
 TERMINAL_ALPHA_FAILED = "alpha_failed"
 TERMINAL_BETA_FAILED = "beta_failed"
-TERMINAL_N1_NONPOSITIVE = "n1_nonpositive"
 
 
 @dataclass(frozen=True)
@@ -105,29 +104,22 @@ def psi_reduce(
     """One reduction step: shrink the n - n1 smallest blocks of a maximal
     eigenvalue in every class, where n1 = sum(r_j) - n.
 
-    Defined only when n > 1, alpha and beta hold, omega fails, and n1 >= 1.
-    When several eigenvalues tie for the maximal block count the canonically
-    first label is used unless `chosen_labels` overrides the choice.
+    Defined only when n > 1, alpha and beta hold and omega fails, which is
+    when `_level_status` finds the level reducible.  When several
+    eigenvalues tie for the maximal block count the canonically first label
+    is used unless `chosen_labels` overrides the choice.
     """
-    report = rigidity_report(shapes)
-    n = report.n
-    if n <= 1:
-        raise PsiPreconditionError("size_one", "reduction undefined at size 1")
-    if not report.alpha:
-        raise PsiPreconditionError(
-            "alpha", f"alpha fails: sum d = {report.sum_d} < {2 * n * n - 2}"
-        )
-    if not report.beta:
-        raise PsiPreconditionError(
-            "beta", f"beta fails at classes {list(report.beta_failures)}"
-        )
-    if report.omega:
-        raise PsiPreconditionError(
-            "omega_holds", f"omega holds: sum r = {report.sum_r} >= {2 * n}"
-        )
-    n1 = report.sum_r - n
-    if n1 <= 0:
-        raise PsiPreconditionError("n1_nonpositive", f"target size {n1} is not positive")
+    report, terminal, _, n1 = _level_status(shapes)
+    if terminal is not None:
+        n = report.n
+        raise PsiPreconditionError(*{
+            TERMINAL_N_EQUALS_1: ("size_one", "reduction undefined at size 1"),
+            TERMINAL_OMEGA: ("omega_holds", f"omega holds: sum r = {report.sum_r} >= {2 * n}"),
+            TERMINAL_ALPHA_FAILED: (
+                "alpha", f"alpha fails: sum d = {report.sum_d} < {2 * n * n - 2}"
+            ),
+            TERMINAL_BETA_FAILED: ("beta", f"beta fails at classes {list(report.beta_failures)}"),
+        }[terminal])
 
     if chosen_labels is None:
         chosen_labels = tuple(max_block_labels(s)[0] for s in shapes)
@@ -191,10 +183,6 @@ class PsiTrace:
     terminal: str
 
     @property
-    def final_shapes(self) -> tuple[JnfShape, ...]:
-        return self.steps[-1].shapes
-
-    @property
     def levels(self) -> tuple[int, ...]:
         return tuple(s.n for s in self.steps)
 
@@ -229,10 +217,9 @@ def _level_status(shapes: tuple[JnfShape, ...]):
         return report, TERMINAL_ALPHA_FAILED, False, None
     if not report.beta:
         return report, TERMINAL_BETA_FAILED, False, None
-    n1 = report.sum_r - n
-    if n1 <= 0:
-        return report, TERMINAL_N1_NONPOSITIVE, False, None
-    return report, None, None, n1
+    # beta gives n1 = sum r - n >= r_j >= 0 for every j, and n1 = 0 would
+    # force every r_j = 0, so sum r = 0 < n, against beta: n1 >= 1
+    return report, None, None, report.sum_r - n
 
 
 def is_good(

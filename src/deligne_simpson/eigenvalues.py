@@ -77,16 +77,11 @@ class MultiplicativeEigenvalue:
     def is_identity(self) -> bool:
         return self.angle == 0 and self.magnitude == 1
 
-    def sort_key(self):
-        return (self.angle, self.magnitude)
-
     def __str__(self):
         return f"e(2pi i {format_rational(self.angle)})*{format_rational(self.magnitude)}"
 
 
 MULT_ONE = MultiplicativeEigenvalue(Fraction(0))
-
-AdditiveEigenvalue = GaussianRational
 
 
 class TupleProblem:

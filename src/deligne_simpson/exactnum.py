@@ -123,15 +123,9 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def l1(self) -> Fraction:
         """|re| + |im|; submultiplicative magnitude proxy used for norms."""
         return abs(self.re) + abs(self.im)
-
-    def sort_key(self):
-        return (self.re, self.im)
 
     def __repr__(self):
         if not self.im:
@@ -155,4 +149,3 @@ def _as_gaussian(x) -> GaussianRational:
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)

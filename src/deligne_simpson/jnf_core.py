@@ -243,12 +243,6 @@ class ClassSpec:
     def n(self) -> int:
         return self.shape.n
 
-    def multiplicity_of(self, value) -> int | None:
-        for i, v in enumerate(self.values):
-            if v == value:
-                return self.shape.multiplicity(i)
-        return None
-
     def label_of(self, value) -> int | None:
         for i, v in enumerate(self.values):
             if v == value:

@@ -204,27 +204,35 @@ def _echelon(rows: list[list[GaussianRational]]) -> list[tuple[int, int]]:
     return pivots
 
 
-def rank(matrix: Matrix) -> int:
+def pivot_columns(matrix: Matrix) -> list[int]:
+    """The pivot columns of the elimination, in increasing order.
+
+    Elimination works column by column, and whether a column holds a pivot
+    depends only on it and the columns before it, so the rank of any
+    leading block of columns is the number of pivots inside it.
+    """
     rows = [list(row) for row in matrix.rows]
-    return len(_echelon(rows))
+    return [c for _, c in _echelon(rows)]
+
+
+def rank(matrix: Matrix) -> int:
+    return len(pivot_columns(matrix))
 
 
 def solve_first(matrix: Matrix, rhs: Sequence[GaussianRational]):
-    """One exact solution of matrix @ x = rhs with all free variables set to
-    zero, or None when the system is inconsistent."""
+    """(x, rank): one exact solution of matrix @ x = rhs with all free
+    variables set to zero, or None when the system is inconsistent, and
+    the rank of `matrix`, from the one elimination of the augmented
+    system."""
     if len(rhs) != matrix.nrows:
         raise LinalgError("right-hand side length mismatch")
     aug = [list(row) + [_entry(b)] for row, b in zip(matrix.rows, rhs)]
     pivots = _echelon(aug)
     ncols = matrix.ncols
-    for r, c in pivots:
-        if c == ncols:
-            return None
-    # rows below the last pivot are all-zero in the coefficient part
-    last_pivot_row = pivots[-1][0] if pivots else -1
-    for i in range(last_pivot_row + 1, len(aug)):
-        if aug[i][ncols]:
-            return None
+    # the right-hand side is the last column, so a pivot there is the last
+    # pivot; without one it vanishes in every row below the pivot rows
+    if pivots and pivots[-1][1] == ncols:
+        return None, len(pivots) - 1
     x = [GR_ZERO] * ncols
     for r, c in reversed(pivots):
         acc = aug[r][ncols]
@@ -233,7 +241,7 @@ def solve_first(matrix: Matrix, rhs: Sequence[GaussianRational]):
             if row[j] and x[j]:
                 acc = acc - row[j] * x[j]
         x[c] = acc / row[c]
-    return x
+    return x, len(pivots)
 
 
 def inverse(matrix: Matrix) -> Matrix:

@@ -298,11 +298,15 @@ def assemble_block_diagonal(block_tuple: MatrixTuple, copies: int) -> AssemblyRe
 
 @dataclass(frozen=True)
 class DeformationRequest:
-    """First-order deformation of a trivial-centralizer base tuple.
+    """First-order deformation of a trivial-centralizer base tuple that
+    satisfies its relation.
 
-    `directions` are the per-matrix drift matrices; additive mode requires
-    trace(sum of directions) = 0, multiplicative mode the first-order
-    determinant condition sum of tr(M_j^-1 N_j) = 0.
+    `directions` are the per-matrix drift matrices N_j; they must satisfy
+    tr(sum of L_j N_j R_j) = 0, where L_j and R_j are the products of the
+    base matrices before and after M_j in multiplicative mode and
+    identities in additive mode.  At a relation point R_j L_j = M_j^-1, so
+    this is the first-order determinant condition sum of tr(M_j^-1 N_j) = 0
+    multiplicatively and tr(sum of N_j) = 0 additively.
     """
 
     base: MatrixTuple
@@ -325,11 +329,14 @@ class DeformationResult:
 def deform_step(req: DeformationRequest) -> DeformationResult:
     """Solve the first-order matching system and conjugate.
 
-    Additive: find X_j with sum of [A_j, X_j] = -sum of N_j, then return
-    (I + eps X_j)^-1 (A_j + eps N_j) (I + eps X_j).  The defining relation
-    then fails only at second order; the exact residual is reported together
-    with a proven residual <= bound (= K eps^2) whenever eps ||X_j|| < 1.
-    Multiplicative mode is the analogue on the product relation.
+    Find trace-zero X_j with sum of L_j [M_j, X_j] R_j = -sum of L_j N_j R_j,
+    then return (I + eps X_j)^-1 (M_j + eps N_j) (I + eps X_j).  The defining
+    relation then fails only at second order; the exact residual is
+    reported together with a proven residual <= bound (= K eps^2) whenever
+    eps ||X_j|| < 1.  One elimination of the tangent map decides both the
+    centralizer (its rank is n^2 - 1 exactly when the centralizer is
+    trivial, outer factors or not, because its image is still the
+    complement of the centralizer) and the solution.
     """
     base = req.base
     n = base.n
@@ -344,24 +351,11 @@ def deform_step(req: DeformationRequest) -> DeformationResult:
     for d in directions:
         if not d.is_square or d.nrows != n:
             raise DeformationError("direction size mismatch")
-    if centralizer_dimension(base) != 1:
-        raise DeformationError("base tuple has a non-trivial centralizer")
+    if not verify_relation(base):
+        raise DeformationError("base tuple does not satisfy its defining relation")
 
-    if base.mode == ADDITIVE:
-        outer = None
-        drift = directions[0]
-        for d in directions[1:]:
-            drift = drift + d
-        if drift.trace() != GR_ZERO:
-            raise DeformationError("additive direction constraint tr(sum N_j) = 0 fails")
-    else:
-        constraint = GR_ZERO
-        for m, d in zip(base.matrices, directions):
-            constraint = constraint + (inverse(m) * d).trace()
-        if constraint != GR_ZERO:
-            raise DeformationError(
-                "multiplicative direction constraint sum tr(M_j^-1 N_j) = 0 fails"
-            )
+    outer = None
+    if base.mode == MULTIPLICATIVE:
         # d/d eps of the product: the j-th factor's change sits between the
         # product of the factors before it and the product of those after
         k = base.count
@@ -372,10 +366,26 @@ def deform_step(req: DeformationRequest) -> DeformationResult:
         for j in range(k - 2, -1, -1):
             suffix[j] = base.matrices[j + 1] * suffix[j + 1]
         outer = tuple(zip(prefix, suffix))
-        drift = prefix[0] * directions[0] * suffix[0]
-        for j in range(1, k):
-            drift = drift + prefix[j] * directions[j] * suffix[j]
-    x_matrices = _solve_first_order(base, drift, outer)
+    drift = Matrix.zeros(n, n)
+    for j, d in enumerate(directions):
+        drift = drift + (d if outer is None else outer[j][0] * d * outer[j][1])
+    coords, tangent_rank = solve_first(
+        commutator_operator(base.matrices, outer), [-x for x in vec(drift)]
+    )
+    if tangent_rank != n * n - 1:
+        raise DeformationError("base tuple has a non-trivial centralizer")
+    if drift.trace() != GR_ZERO:
+        raise DeformationError("direction constraint tr(sum L_j N_j R_j) = 0 fails")
+    if coords is None:
+        raise DeformationError("first-order system is unsolvable")
+    basis = sl_basis(n)
+    x_matrices = []
+    for j in range(base.count):
+        acc = Matrix.zeros(n, n)
+        for b, c in zip(basis, coords[j * len(basis) :]):
+            if c:
+                acc = acc + b.scale(c)
+        x_matrices.append(acc)
 
     deformed = []
     for m, d, x in zip(base.matrices, directions, x_matrices):
@@ -405,24 +415,6 @@ def deform_step(req: DeformationRequest) -> DeformationResult:
         bound=bound,
         within_tolerance=float(residual) <= req.tolerance,
     )
-
-
-def _solve_first_order(base: MatrixTuple, drift: Matrix, outer) -> list[Matrix]:
-    """Trace-zero X_j with sum of L_j [M_j, X_j] R_j = -drift, the free
-    coordinates of the exact solve set to zero."""
-    coords = solve_first(commutator_operator(base.matrices, outer), [-x for x in vec(drift)])
-    if coords is None:
-        raise DeformationError("first-order system is unsolvable")
-    n = base.n
-    basis = sl_basis(n)
-    out = []
-    for j in range(base.count):
-        acc = Matrix.zeros(n, n)
-        for b, c in zip(basis, coords[j * len(basis) :]):
-            if c:
-                acc = acc + b.scale(c)
-        out.append(acc)
-    return out
 
 
 def _residual_bound(base, directions, x_matrices, eps: Fraction) -> Fraction | None:

@@ -84,6 +84,15 @@ class TestParseWitness:
         with pytest.raises(CliInputError):
             parse_witness(doc)
 
+    def test_entry_with_unknown_key_rejected(self, tmp_path):
+        doc = _load("rigid_n2_witness.json")
+        doc["matrices"][0][0][1] = {"re": "1", "imag": "7"}
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(doc))
+        code, report = _run("verify", str(SAMPLES / "rigid_n2_problem.json"), str(path))
+        assert code == 2
+        assert report["error"].startswith("matrices[0][0][1]: ")
+
 
 def _run(*argv):
     return run_command(list(argv))
@@ -111,6 +120,14 @@ class TestCommands:
         levels = report["trace"]["levels"]
         assert [lvl["n"] for lvl in levels] == [4, 3, 2, 1]
         assert report["trace"]["terminal"] == "reached_n_equals_1"
+
+    @pytest.mark.parametrize("flags", [[], ["--exhaustive-ties"]])
+    def test_psi_trace_is_good_under_its_own_name(self, flags):
+        code, report = _run("good", str(SAMPLES / "n4_special.json"), *flags)
+        assert _run("psi-trace", str(SAMPLES / "n4_special.json"), *flags) == (
+            code,
+            {**report, "command": "psi-trace"},
+        )
 
     def test_good_command(self):
         code, report = _run("good", str(SAMPLES / "n9_good_not_special.json"))
@@ -208,6 +225,27 @@ class TestCommands:
         assert code == 0 and report["within_tolerance"]
         deformed = parse_witness(json.loads(out.read_text()))
         assert deformed.n == 2
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_deform_base_breaking_its_relation_is_input_error(self, tmp_path, mode):
+        # trivial centralizer, relation broken in the last matrix
+        base = {
+            "additive": [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, -1], [-1, 0]]],
+            "multiplicative": [[[1, 1], [0, 1]], [[0, -1], [1, 0]], [[0, 1], [-1, 2]]],
+        }[mode]
+        identity = [[1, 0], [0, 1]]
+        paths = []
+        for name, mats in (("base", base), ("directions", [identity] * 3)):
+            doc = {
+                "mode": mode,
+                "n": 2,
+                "matrices": [[[{"re": str(x)} for x in row] for row in m] for m in mats],
+            }
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        code, report = _run("deform", *map(str, paths), "--epsilon", "1/64")
+        assert code == 2
+        assert "defining relation" in report["error"]
 
     def test_classify_with_subordinate_witness(self):
         code, report = _run(

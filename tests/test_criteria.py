@@ -99,6 +99,28 @@ class TestPsiReduce:
             psi_reduce((regular, regular, regular))
         assert err.value.code == "omega_holds"
 
+    def test_beta_failure_names_its_classes(self):
+        # alpha holds, omega fails, and deleting class 3 leaves r-sum 3 < 4
+        thin = shape([2, 1, 1])
+        with pytest.raises(PsiPreconditionError) as err:
+            psi_reduce((thin, thin, thin, shape([1], [2], [1])))
+        assert err.value.code == "beta"
+        assert str(err.value) == "beta fails at classes [3]"
+
+    def test_reducible_levels_have_positive_target_size(self):
+        # beta gives n1 = sum r - n >= r_j >= 0, and n1 = 0 would force
+        # sum r = 0 < n; so no reducible level reaches a size below 1
+        rng = random.Random(23)
+        reducible = 0
+        while reducible < 300:
+            n = rng.randint(2, 6)
+            shapes = random_shape_tuple(rng, n, rng.randint(2, 5))
+            rep = rigidity_report(shapes)
+            if not (rep.alpha and rep.beta and not rep.omega):
+                continue
+            assert psi_reduce(shapes).n1 == rep.sum_r - n >= 1
+            reducible += 1
+
     def test_invalid_choice_rejected(self, n4_shapes):
         with pytest.raises(CriteriaError):
             psi_reduce(n4_shapes, chosen_labels=(0, 1, 0))

@@ -13,6 +13,7 @@ and block-diagonal assemblies of both, in both modes, n = 1..5.
 
 from __future__ import annotations
 
+import json
 import random
 from functools import reduce
 
@@ -32,7 +33,9 @@ from deligne_simpson import (
     check_surjectivity,
     euler_characteristic,
     local_dimension,
+    verify_relation,
 )
+from deligne_simpson.cli import run_command, serialize_witness
 from deligne_simpson.linalg import commutator_operator, inverse, sl_basis
 
 from conftest import random_relation_tuple
@@ -222,3 +225,43 @@ def test_builder_columns_are_the_commutator_images(mode):
                 expected = _flat(left * (m * b - b * m) * right)
                 column = _flat(_sym(Matrix([[op[r, j * len(basis) + i]] for r in range(n * n)])))
                 assert all(sympy.expand(x - y) == 0 for x, y in zip(column, expected))
+
+
+def _verify_cases():
+    """Relation tuples and tuples whose last matrix is replaced by an
+    unrelated one, which breaks the relation, n = 1..4, k = 2..4."""
+    rng = random.Random(6131)
+    out = []
+    for mode in (ADDITIVE, MULTIPLICATIVE):
+        for n in range(1, 5):
+            for count in range(2, 5):
+                t = random_relation_tuple(rng, n, count, mode=mode)
+                out.append(t)
+                out.append(MatrixTuple(mode, t.matrices[:-1] + (_unimodular(rng, n).scale(2),)))
+    return out
+
+
+def test_verify_surjectivity_without_last_matches_its_own_map(tmp_path):
+    """`dsp verify` reads surjectivity without the last matrix off the
+    pivots of the full tuple's map; it must equal the rank test of the
+    first k - 1 matrices' own map, also where the relation fails (there it
+    can differ from a trivial centralizer)."""
+    differs = 0
+    for i, t in enumerate(_verify_cases()):
+        scalar = {"re": "0"} if t.mode == ADDITIVE else {"angle": "0"}
+        problem = {
+            "mode": t.mode,
+            "n": t.n,
+            "classes": [
+                {"eigenvalues": [{"value": scalar, "multiplicity": t.n, "blocks": [1] * t.n}]}
+            ] * t.count,
+        }
+        problem_path, witness_path = tmp_path / f"p{i}.json", tmp_path / f"w{i}.json"
+        problem_path.write_text(json.dumps(problem))
+        witness_path.write_text(json.dumps(serialize_witness(t)))
+        code, report = run_command(["verify", str(problem_path), str(witness_path)])
+        assert code in (0, 1)
+        assert report["relation"] == verify_relation(t)
+        assert report["surjective_without_last"] == check_surjectivity(t.matrices[:-1])
+        differs += report["surjective_without_last"] != report["centralizer_trivial"]
+    assert differs > 0

@@ -28,9 +28,13 @@ from deligne_simpson import (
     local_dimension,
     verify_relation,
 )
+from deligne_simpson import linalg, witness
+from deligne_simpson.cli import run_command
 from deligne_simpson.criteria import rigidity_report
 from deligne_simpson.exactnum import format_rational
 from deligne_simpson.witness import DeformationError, eigenvalue_as_gaussian
+
+from conftest import SAMPLES
 
 from conftest import gr, me, random_relation_tuple, shape
 
@@ -287,8 +291,22 @@ class TestDeformStep:
 
     def test_trace_constraint_enforced(self, rigid_n2_witness):
         bad = (Matrix.identity(2), Matrix.zeros(2, 2), Matrix.zeros(2, 2))
-        with pytest.raises(DeformationError):
+        with pytest.raises(DeformationError, match="direction constraint"):
             deform_step(DeformationRequest(rigid_n2_witness, bad, Fraction(1, 10)))
+
+    def test_multiplicative_constraint_enforced(self):
+        # sum of tr(M_j^-1 N_j) = tr(M_1^-1) = 2
+        base = _pinned_deform_cases()["multiplicative_n2"].base
+        bad = (Matrix.identity(2), Matrix.zeros(2, 2), Matrix.zeros(2, 2))
+        with pytest.raises(DeformationError, match="direction constraint"):
+            deform_step(DeformationRequest(base, bad, Fraction(1, 10)))
+
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    def test_base_breaking_its_relation_rejected(self, mode):
+        req = _broken_relation_request(mode)
+        assert centralizer_dimension(req.base) == 1
+        with pytest.raises(DeformationError, match="defining relation"):
+            deform_step(req)
 
     def test_nontrivial_centralizer_rejected(self):
         t = MatrixTuple(ADDITIVE, [Matrix.zeros(2, 2)] * 3)
@@ -382,6 +400,15 @@ def _pinned_deform_cases():
     }
 
 
+def _broken_relation_request(mode) -> DeformationRequest:
+    """The n = 2 pinned request of `mode` with its base's last matrix
+    changed: the centralizer stays trivial, the relation fails."""
+    req = _pinned_deform_cases()[f"{mode}_n2"]
+    last = {ADDITIVE: Matrix([[1, -1], [-1, 0]]), MULTIPLICATIVE: Matrix([[0, 1], [-1, 2]])}
+    base = MatrixTuple(mode, req.base.matrices[:-1] + (last[mode],))
+    return DeformationRequest(base, req.directions, req.epsilon)
+
+
 def _render_deform(res) -> dict:
     def mat(m):
         return [[str(x) for x in row] for row in m.rows]
@@ -405,3 +432,44 @@ class TestDeformPinned:
 
     def test_every_pin_has_a_case(self):
         assert sorted(json.loads(DEFORM_PINS.read_text())) == sorted(_pinned_deform_cases())
+
+
+class TestOneTangentElimination:
+    """`deform_step` and `dsp verify` each eliminate their n^2-row tangent
+    map once; `deform_step` inverts only the k conjugating matrices."""
+
+    @staticmethod
+    def _tangent_eliminations(monkeypatch, n, width, call) -> int:
+        shapes = []
+        echelon = linalg._echelon
+
+        def counting(rows):
+            shapes.append((len(rows), len(rows[0])))
+            return echelon(rows)
+
+        monkeypatch.setattr(linalg, "_echelon", counting)
+        call()
+        return sum(r == n * n and c >= width for r, c in shapes)
+
+    @pytest.mark.parametrize("case", sorted(_pinned_deform_cases()))
+    def test_deform_step(self, monkeypatch, case):
+        req = _pinned_deform_cases()[case]
+        n, k = req.base.n, req.base.count
+        inverted = []
+
+        def counting_inverse(m):
+            inverted.append(m)
+            return linalg.inverse(m)
+
+        monkeypatch.setattr(witness, "inverse", counting_inverse)
+        width = k * (n * n - 1)
+        assert self._tangent_eliminations(monkeypatch, n, width, lambda: deform_step(req)) == 1
+        assert len(inverted) == k
+
+    @pytest.mark.parametrize("name,n", [("rigid_n2", 2), ("rigid_n3", 3)])
+    def test_verify(self, monkeypatch, name, n):
+        argv = ["verify", str(SAMPLES / f"{name}_problem.json"), str(SAMPLES / f"{name}_witness.json")]
+        # the map of the first k - 1 = 2 matrices, which surjectivity
+        # without the last matrix would eliminate on its own
+        width = 2 * (n * n - 1)
+        assert self._tangent_eliminations(monkeypatch, n, width, lambda: run_command(argv)) == 1
