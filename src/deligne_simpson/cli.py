@@ -472,11 +472,12 @@ def _cmd_dim(args) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
-def _parse_epsilon(text: str) -> Fraction:
+def _parse_exact(flag: str, text: str) -> Fraction:
+    """The exact rational a flag's "p/q" or decimal text ("1e-3") denotes."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliInputError(f"--epsilon: cannot parse {text!r}: {exc}") from exc
+        raise CliInputError(f"{flag}: cannot parse {text!r}: {exc}") from exc
 
 
 def _cmd_deform(args) -> tuple[int, dict]:
@@ -487,8 +488,8 @@ def _cmd_deform(args) -> tuple[int, dict]:
     request = DeformationRequest(
         base=base,
         directions=directions_doc.matrices,
-        epsilon=_parse_epsilon(args.epsilon),
-        tolerance=args.tolerance,
+        epsilon=_parse_exact("--epsilon", args.epsilon),
+        tolerance=_parse_exact("--tolerance", args.tolerance),
     )
     result = deform_step(request)
     doc = serialize_witness(result.deformed)
@@ -578,8 +579,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("base", help="base witness document (JSON)")
     p.add_argument("directions", help="direction matrices (witness-format JSON)")
     p.add_argument("--epsilon", required=True, help="step size, e.g. 1/1024")
-    p.add_argument("--tolerance", type=float, default=1e-9,
-                   help="acceptable residual for exit status 0")
+    p.add_argument("--tolerance", default="1e-9",
+                   help="acceptable residual for exit status 0, an exact rational "
+                   "such as 1e-3 or 1/1000")
     p.add_argument("--output", help="write the deformed witness here")
     p.add_argument("--human", action="store_true",
                    help="prose report instead of JSON")

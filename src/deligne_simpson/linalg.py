@@ -1,8 +1,11 @@
 """Dense exact linear algebra over Gaussian rationals.
 
-Everything is deterministic: pivots are chosen as the first nonzero entry
-scanning rows top-down and columns left-right, so ranks, solutions and
-inverses are bit-identical across runs.
+Every rank, solve, inverse and algebra dimension runs one elimination
+loop, `_add_row`: each row in turn is reduced against the pivot rows kept
+so far and, if anything is left, kept unscaled under the column of its
+first nonzero entry.  No result depends on this pivot rule or on the row
+order: the set of pivot columns is an invariant of the row space, the
+solution with every free variable zero is unique, and so is an inverse.
 
 Every witness check ranks one tangent map, built by `commutator_operator`:
 (X_1..X_k) -> sum of [M_j, X_j] with each X_j in sl_n.  Its rows index
@@ -172,47 +175,58 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def _echelon(rows: list[list[GaussianRational]]) -> list[tuple[int, int]]:
-    """In-place forward elimination; returns (row, col) pivot positions."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+def _add_row(pivots: dict[int, list[GaussianRational]], row: list[GaussianRational]) -> bool:
+    """Reduce `row` in place against the stored pivot rows.  If a nonzero
+    entry remains, store the row, unscaled, under the column of its first
+    nonzero entry and return True; otherwise return False."""
+    for c in range(len(row)):
+        x = row[c]
+        if not x:
             continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
-            if f:
-                ratio = f / pv
-                row_i, row_r = rows[i], rows[r]
-                for j in range(c, ncols):
-                    if row_r[j]:
-                        row_i[j] = row_i[j] - row_r[j] * ratio
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
+        pivot_row = pivots.get(c)
+        if pivot_row is None:
+            pivots[c] = row
+            return True
+        ratio = x / pivot_row[c]
+        for j in range(c, len(row)):
+            if pivot_row[j]:
+                row[j] = row[j] - pivot_row[j] * ratio
+    return False
+
+
+def _reduce(rows) -> dict[int, list[GaussianRational]]:
+    pivots: dict[int, list[GaussianRational]] = {}
+    for row in rows:
+        _add_row(pivots, row)
     return pivots
+
+
+def _back_substitute(
+    pivots: dict[int, list[GaussianRational]], ncols: int, nrhs: int
+) -> list[list[GaussianRational]]:
+    """The solution X, one row per unknown, of the reduced system whose
+    last `nrhs` columns are right-hand sides, every free unknown zero."""
+    x = [[GR_ZERO] * nrhs for _ in range(ncols)]
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        acc = row[ncols:]
+        for j in range(c + 1, ncols):
+            f = row[j]
+            if f:
+                acc = [a - f * y if y else a for a, y in zip(acc, x[j])]
+        pv = row[c]
+        x[c] = [a / pv for a in acc]
+    return x
 
 
 def pivot_columns(matrix: Matrix) -> list[int]:
     """The pivot columns of the elimination, in increasing order.
 
-    Elimination works column by column, and whether a column holds a pivot
-    depends only on it and the columns before it, so the rank of any
-    leading block of columns is the number of pivots inside it.
+    They are the columns that are not combinations of the columns before
+    them, so the rank of any leading block of columns is the number of
+    pivots inside it.
     """
-    rows = [list(row) for row in matrix.rows]
-    return [c for _, c in _echelon(rows)]
+    return sorted(_reduce(list(row) for row in matrix.rows))
 
 
 def rank(matrix: Matrix) -> int:
@@ -226,45 +240,45 @@ def solve_first(matrix: Matrix, rhs: Sequence[GaussianRational]):
     system."""
     if len(rhs) != matrix.nrows:
         raise LinalgError("right-hand side length mismatch")
-    aug = [list(row) + [_entry(b)] for row, b in zip(matrix.rows, rhs)]
-    pivots = _echelon(aug)
     ncols = matrix.ncols
-    # the right-hand side is the last column, so a pivot there is the last
-    # pivot; without one it vanishes in every row below the pivot rows
-    if pivots and pivots[-1][1] == ncols:
+    pivots = _reduce(list(row) + [_entry(b)] for row, b in zip(matrix.rows, rhs))
+    if ncols in pivots:
         return None, len(pivots) - 1
-    x = [GR_ZERO] * ncols
-    for r, c in reversed(pivots):
-        acc = aug[r][ncols]
-        row = aug[r]
-        for j in range(c + 1, ncols):
-            if row[j] and x[j]:
-                acc = acc - row[j] * x[j]
-        x[c] = acc / row[c]
-    return x, len(pivots)
+    return [xc[0] for xc in _back_substitute(pivots, ncols, 1)], len(pivots)
 
 
 def inverse(matrix: Matrix) -> Matrix:
     if not matrix.is_square:
         raise LinalgError("inverse of a non-square matrix")
     n = matrix.nrows
-    aug = [
+    pivots = _reduce(
         list(row) + [GR_ONE if i == j else GR_ZERO for j in range(n)]
         for i, row in enumerate(matrix.rows)
-    ]
-    pivots = _echelon(aug)
-    if len(pivots) < n:
+    )
+    # [M | I] always has rank n; M is invertible exactly when every pivot
+    # lies in M's block
+    if max(pivots) >= n:
         raise SingularMatrixError("matrix is singular")
-    # back-substitute to reduced form
-    for r, c in reversed(pivots):
-        pv = aug[r][c]
-        if pv != GR_ONE:
-            aug[r] = [x / pv for x in aug[r]]
-        for i in range(r):
-            f = aug[i][c]
-            if f:
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-    return Matrix([row[n:] for row in aug])
+    return Matrix(_back_substitute(pivots, n, n))
+
+
+def algebra_dimension(matrices: Sequence[Matrix]) -> int:
+    """Dimension of the unital algebra generated by the square matrices.
+
+    The span of the words in the generators is closed by left-multiplying
+    every independent word by every generator.
+    """
+    n = matrices[0].nrows
+    pivots: dict[int, list[GaussianRational]] = {}
+    queue = [Matrix.identity(n)]
+    _add_row(pivots, list(vec(queue[0])))
+    while queue and len(pivots) < n * n:
+        m = queue.pop()
+        for g in matrices:
+            p = g * m
+            if _add_row(pivots, list(vec(p))):
+                queue.append(p)
+    return len(pivots)
 
 
 def vec(matrix: Matrix) -> tuple[GaussianRational, ...]:

@@ -21,6 +21,7 @@ from .jnf_core import ClassSpec, d_of, rank_sequence
 from .linalg import (
     Matrix,
     SingularMatrixError,
+    algebra_dimension,
     commutator_operator,
     inverse,
     rank,
@@ -193,42 +194,9 @@ class IrreducibilityReport:
 
 def is_irreducible(t: MatrixTuple) -> IrreducibilityReport:
     """Burnside test: the unital algebra generated by the tuple has full
-    dimension n^2 exactly when no common proper invariant subspace exists.
-
-    The span of the words in the generators is closed by repeatedly
-    left-multiplying independent words by generators.
-    """
-    n = t.n
-    size = n * n
-    pivots: dict[int, list[GaussianRational]] = {}
-
-    def try_add(m: Matrix) -> bool:
-        v = list(vec(m))
-        for col in range(size):
-            if not v[col]:
-                continue
-            if col in pivots:
-                f = v[col]
-                pv = pivots[col]
-                for j in range(col, size):
-                    if pv[j]:
-                        v[j] = v[j] - f * pv[j]
-            else:
-                inv = GR_ONE / v[col]
-                pivots[col] = [x * inv for x in v]
-                return True
-        return False
-
-    queue = [Matrix.identity(n)]
-    try_add(queue[0])
-    while queue and len(pivots) < size:
-        m = queue.pop()
-        for g in t.matrices:
-            p = g * m
-            if try_add(p):
-                queue.append(p)
-    dim = len(pivots)
-    return IrreducibilityReport(irreducible=dim == size, algebra_dimension=dim)
+    dimension n^2 exactly when no common proper invariant subspace exists."""
+    dim = algebra_dimension(t.matrices)
+    return IrreducibilityReport(irreducible=dim == t.n * t.n, algebra_dimension=dim)
 
 
 def local_dimension(t: MatrixTuple, classes: Sequence[ClassSpec]) -> int:
@@ -312,7 +280,7 @@ class DeformationRequest:
     base: MatrixTuple
     directions: tuple[Matrix, ...]
     epsilon: Fraction
-    tolerance: float = 1e-9
+    tolerance: Fraction = Fraction(1, 10**9)
 
 
 @dataclass(frozen=True)
@@ -340,11 +308,7 @@ def deform_step(req: DeformationRequest) -> DeformationResult:
     """
     base = req.base
     n = base.n
-    eps = req.epsilon
-    if isinstance(eps, float):
-        eps = Fraction(eps)  # exact binary-float conversion
-    else:
-        eps = Fraction(eps)
+    eps = Fraction(req.epsilon)
     directions = tuple(req.directions)
     if len(directions) != base.count:
         raise DeformationError("one direction per base matrix is required")
@@ -413,7 +377,7 @@ def deform_step(req: DeformationRequest) -> DeformationResult:
         residual=residual,
         residual_float=float(residual),
         bound=bound,
-        within_tolerance=float(residual) <= req.tolerance,
+        within_tolerance=residual <= Fraction(req.tolerance),
     )
 
 

@@ -226,6 +226,33 @@ class TestCommands:
         deformed = parse_witness(json.loads(out.read_text()))
         assert deformed.n == 2
 
+    @pytest.mark.parametrize("tolerance,code", [("4/4194303", 0), ("4/4194304", 1)])
+    def test_deform_tolerance_is_exact(self, tolerance, code):
+        # the residual at epsilon 1/1024 is exactly 4/4194303
+        got, report = _run(
+            "deform",
+            str(SAMPLES / "rigid_n2_witness.json"),
+            str(SAMPLES / "deform_directions_n2.json"),
+            "--epsilon",
+            "1/1024",
+            "--tolerance",
+            tolerance,
+        )
+        assert report["residual"] == "4/4194303"
+        assert got == code and report["within_tolerance"] == (code == 0)
+
+    def test_deform_singular_conjugator_is_input_error(self):
+        # X_1 = [[1/2, 0], [-1, -1/2]], so I + 2 X_1 is singular
+        code, report = _run(
+            "deform",
+            str(SAMPLES / "rigid_n2_witness.json"),
+            str(SAMPLES / "deform_directions_n2.json"),
+            "--epsilon",
+            "2",
+        )
+        assert code == 2
+        assert report["error"] == "DeformationError: epsilon too large: I + eps X is singular"
+
     @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
     def test_deform_base_breaking_its_relation_is_input_error(self, tmp_path, mode):
         # trivial centralizer, relation broken in the last matrix

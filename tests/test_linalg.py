@@ -1,0 +1,220 @@
+"""The elimination results of `linalg` against sympy over Q(i).
+
+Seeded Gaussian-rational matrices from 1 x 1 up to 6 x 9, some with a
+planted rank deficiency (a product through a narrower inner dimension)
+and some with zeroed rows and columns, are checked against sympy's
+`DomainMatrix` over `QQ_I`: the pivot columns against `rref()`, every
+`solve_first` answer against the augmented rank and A x = b, and
+`inverse` against the identity.  The generated-algebra dimension behind
+`is_irreducible` is compared with a word-span closure ranked by sympy,
+and with a^2 + b^2 + ab on conjugated block-upper-triangular tuples,
+whose generated algebra is the whole block-upper-triangular algebra.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from deligne_simpson import ADDITIVE, GaussianRational, Matrix, MatrixTuple, is_irreducible
+from deligne_simpson.linalg import (
+    SingularMatrixError,
+    inverse,
+    pivot_columns,
+    rank,
+    solve_first,
+)
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+SHAPES = [(r, c) for r in range(1, 7) for c in range(1, 10) if c >= r - 2]
+
+
+def _entry(rng) -> GaussianRational:
+    return GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+def _random(rng, nrows, ncols) -> list[list[GaussianRational]]:
+    return [[_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _product(a, b) -> list[list[GaussianRational]]:
+    return [
+        [sum((x * y for x, y in zip(row, col)), GaussianRational(0)) for col in zip(*b)]
+        for row in a
+    ]
+
+
+def _test_matrix(rng, nrows, ncols) -> Matrix:
+    """A full-rank-looking, a planted rank-deficient or a zero-padded
+    matrix, chosen by the seed."""
+    kind = rng.randrange(3)
+    if kind == 1:
+        inner = rng.randrange(0, min(nrows, ncols) + 1)
+        if inner == 0:
+            rows = [[GaussianRational(0)] * ncols for _ in range(nrows)]
+        else:
+            rows = _product(_random(rng, nrows, inner), _random(rng, inner, ncols))
+    else:
+        rows = _random(rng, nrows, ncols)
+    if kind == 2:
+        for i in rng.sample(range(nrows), rng.randrange(nrows)):
+            rows[i] = [GaussianRational(0)] * ncols
+        for j in rng.sample(range(ncols), rng.randrange(ncols)):
+            for row in rows:
+                row[j] = GaussianRational(0)
+    return Matrix(rows)
+
+
+def _cases():
+    rng = random.Random(20240611)
+    return [(shape, _test_matrix(rng, *shape)) for shape in SHAPES for _ in range(3)]
+
+
+CASES = _cases()
+SQUARE = [m for _, m in CASES if m.is_square]
+
+
+def _domain(m: Matrix) -> DomainMatrix:
+    rows = [[sympy.Rational(x.re) + sympy.I * sympy.Rational(x.im) for x in row] for row in m.rows]
+    return DomainMatrix.from_Matrix(sympy.Matrix(rows)).convert_to(sympy.QQ_I)
+
+
+def _augmented(m: Matrix, rhs) -> Matrix:
+    return Matrix([list(row) + [b] for row, b in zip(m.rows, rhs)])
+
+
+def test_cases_cover_deficiency_and_zero_lines():
+    deficient = [m for (r, c), m in CASES if rank(m) < min(r, c)]
+    zero_row = [m for _, m in CASES if any(not any(row) for row in m.rows)]
+    zero_col = [m for _, m in CASES if any(not any(col) for col in zip(*m.rows))]
+    singular = [m for m in SQUARE if rank(m) < m.nrows]
+    assert len(deficient) > 40 and len(zero_row) > 20 and len(zero_col) > 20
+    assert len(singular) > 5 and len(SQUARE) - len(singular) > 5
+
+
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_pivot_columns_match_rref(index):
+    _, m = CASES[index]
+    _, pivots = _domain(m).rref()
+    assert pivot_columns(m) == list(pivots)
+    assert rank(m) == len(pivots)
+
+
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_solve_first_against_augmented_rank(index):
+    _, m = CASES[index]
+    rng = random.Random(index)
+    _, pivots = _domain(m).rref()
+    coeffs = [[_entry(rng)] for _ in range(m.ncols)]
+    reachable = [row[0] for row in _product(m.rows, coeffs)]
+    arbitrary = [_entry(rng) for _ in range(m.nrows)]
+    for rhs in (reachable, arbitrary):
+        x, r = solve_first(m, rhs)
+        assert r == len(pivots)
+        consistent = _domain(_augmented(m, rhs)).rank() == len(pivots)
+        assert (x is not None) == consistent
+        if x is None:
+            continue
+        assert all(not v for j, v in enumerate(x) if j not in pivots)
+        column = Matrix([[v] for v in x])
+        assert _domain(m) * _domain(column) == _domain(Matrix([[b] for b in rhs]))
+
+
+@pytest.mark.parametrize("index", range(len(SQUARE)))
+def test_inverse_or_singular(index):
+    m = SQUARE[index]
+    if _domain(m).rank() < m.nrows:
+        with pytest.raises(SingularMatrixError):
+            inverse(m)
+    else:
+        assert inverse(m) * m == Matrix.identity(m.nrows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 1], [1, 1]],
+        [[1, 2, 3], [4, 5, 6], [5, 7, 9]],
+    ],
+)
+def test_singular_inverse_raises(rows):
+    with pytest.raises(SingularMatrixError):
+        inverse(Matrix(rows))
+
+
+def _sympy_algebra_dimension(mats: list[Matrix]) -> int:
+    """Span of the words in `mats`, closed under left multiplication by
+    every generator, ranked by sympy."""
+    gens = [_domain(m) for m in mats]
+    n = mats[0].nrows
+    words = [DomainMatrix.eye(n, sympy.QQ_I)]
+    flat = [words[0].to_Matrix().reshape(1, n * n)]
+    frontier = list(words)
+    while frontier:
+        new = []
+        for w in frontier:
+            for g in gens:
+                p = g * w
+                candidate = flat + [p.to_Matrix().reshape(1, n * n)]
+                stacked = DomainMatrix.from_Matrix(sympy.Matrix.vstack(*candidate))
+                if stacked.convert_to(sympy.QQ_I).rank() == len(candidate):
+                    flat = candidate
+                    new.append(p)
+        frontier = new
+    return len(flat)
+
+
+def _block_upper(rng, a, b) -> Matrix:
+    n = a + b
+    rows = _random(rng, n, n)
+    for i in range(a, n):
+        for j in range(a):
+            rows[i][j] = GaussianRational(0)
+    return Matrix(rows)
+
+
+def _invertible(rng, n) -> Matrix:
+    while True:
+        p = Matrix(_random(rng, n, n))
+        if rank(p) == n:
+            return p
+
+
+def _algebra_cases():
+    rng = random.Random(7)
+    cases = []
+    for n in range(1, 5):
+        for _ in range(3):
+            count = rng.randint(1, 3)
+            mats = [Matrix(_random(rng, n, n)) for _ in range(count)]
+            if rng.random() < 0.5:
+                # sparse generators: diagonal or nilpotent ones give proper subalgebras
+                mats = [
+                    Matrix([[x if (i == j or (i + 1 == j and k % 2)) else 0
+                             for j, x in enumerate(row)] for i, row in enumerate(m.rows)])
+                    for k, m in enumerate(mats)
+                ]
+            cases.append(mats)
+    return cases
+
+
+@pytest.mark.parametrize("mats", _algebra_cases())
+def test_algebra_dimension_matches_sympy_closure(mats):
+    report = is_irreducible(MatrixTuple(ADDITIVE, mats))
+    assert report.algebra_dimension == _sympy_algebra_dimension(mats)
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 2)])
+def test_block_upper_triangular_algebra_dimension(a, b):
+    rng = random.Random(100 * a + b)
+    p = _invertible(rng, a + b)
+    p_inv = inverse(p)
+    mats = [p_inv * _block_upper(rng, a, b) * p for _ in range(3)]
+    report = is_irreducible(MatrixTuple(ADDITIVE, mats))
+    assert not report.irreducible
+    assert report.algebra_dimension == a * a + b * b + a * b
+    if a + b <= 4:
+        assert report.algebra_dimension == _sympy_algebra_dimension(mats)

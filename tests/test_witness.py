@@ -440,16 +440,18 @@ class TestOneTangentElimination:
 
     @staticmethod
     def _tangent_eliminations(monkeypatch, n, width, call) -> int:
-        shapes = []
-        echelon = linalg._echelon
+        # one elimination is one pivot dict: the rows added to it, its width
+        eliminations = {}
+        add_row = linalg._add_row
 
-        def counting(rows):
-            shapes.append((len(rows), len(rows[0])))
-            return echelon(rows)
+        def counting(pivots, row):
+            entry = eliminations.setdefault(id(pivots), [pivots, 0, len(row)])
+            entry[1] += 1
+            return add_row(pivots, row)
 
-        monkeypatch.setattr(linalg, "_echelon", counting)
+        monkeypatch.setattr(linalg, "_add_row", counting)
         call()
-        return sum(r == n * n and c >= width for r, c in shapes)
+        return sum(r == n * n and c >= width for _, r, c in eliminations.values())
 
     @pytest.mark.parametrize("case", sorted(_pinned_deform_cases()))
     def test_deform_step(self, monkeypatch, case):
