@@ -68,6 +68,7 @@ from .witness import (
     assemble_block_diagonal,
     centralizer_dimension,
     check_surjectivity,
+    check_witness,
     class_membership,
     deform_step,
     euler_characteristic,

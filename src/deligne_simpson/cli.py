@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from .criteria import PsiTrace, TieVerdictError, is_good, rigidity_report
 from .eigenvalues import (
@@ -45,13 +44,13 @@ from .witness import (
     DeformationRequest,
     MatrixTuple,
     WitnessError,
+    WitnessMismatchError,
     WitnessPreconditionError,
-    class_membership,
+    check_witness,
     deform_step,
     euler_characteristic,
     is_irreducible,
     local_dimension,
-    verify_relation,
 )
 
 EXIT_OK = 0
@@ -76,27 +75,35 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _rational(text, path: str):
+    """A document value's or a flag's exact rational; errors name the path."""
+    try:
+        return parse_rational(text)
+    except ExactNumberError as exc:
+        raise CliInputError(f"{path}: {exc}") from exc
+
+
 def _parse_value(doc, mode: str, path: str):
     _expect(isinstance(doc, dict), path, "must be an object")
-    try:
-        if mode == ADDITIVE:
-            _expect(
-                set(doc) <= {"re", "im"} and "re" in doc,
-                path,
-                'additive values use {"re": "p/q", "im": "p/q"}',
-            )
-            return GaussianRational(
-                parse_rational(doc["re"]), parse_rational(doc.get("im", "0"))
-            )
+    if mode == ADDITIVE:
         _expect(
-            set(doc) <= {"angle", "magnitude"} and "angle" in doc,
+            set(doc) <= {"re", "im"} and "re" in doc,
             path,
-            'multiplicative values use {"angle": "p/q", "magnitude": "p/q"}',
+            'additive values use {"re": "p/q", "im": "p/q"}',
         )
+        return GaussianRational(
+            _rational(doc["re"], path), _rational(doc.get("im", "0"), path)
+        )
+    _expect(
+        set(doc) <= {"angle", "magnitude"} and "angle" in doc,
+        path,
+        'multiplicative values use {"angle": "p/q", "magnitude": "p/q"}',
+    )
+    try:
         return MultiplicativeEigenvalue(
-            parse_rational(doc["angle"]), parse_rational(doc.get("magnitude", "1"))
+            _rational(doc["angle"], path), _rational(doc.get("magnitude", "1"), path)
         )
-    except (ExactNumberError, ProblemError) as exc:
+    except ProblemError as exc:
         raise CliInputError(f"{path}: {exc}") from exc
 
 
@@ -183,7 +190,8 @@ def serialize_problem(problem: TupleProblem) -> dict:
     }
 
 
-def parse_witness(doc) -> MatrixTuple:
+def _parse_matrices(doc) -> tuple[str, list[Matrix]]:
+    """Mode and matrices of a witness document, not yet a tuple."""
     _expect(isinstance(doc, dict), "$", "witness document must be an object")
     mode = doc.get("mode")
     _expect(mode in (ADDITIVE, MULTIPLICATIVE), "mode", "must be a known mode")
@@ -210,6 +218,11 @@ def parse_witness(doc) -> MatrixTuple:
                 [_parse_value(e, ADDITIVE, f"{mpath}[{i}][{k}]") for k, e in enumerate(rdoc)]
             )
         matrices.append(Matrix(rows))
+    return mode, matrices
+
+
+def parse_witness(doc) -> MatrixTuple:
+    mode, matrices = _parse_matrices(doc)
     try:
         return MatrixTuple(mode, matrices)
     except WitnessError as exc:
@@ -317,7 +330,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also bad UTF-8, integers past int's digit limit and too-deep nesting
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -333,6 +347,8 @@ def _load_witness(path: str) -> MatrixTuple:
 
 
 def _cmd_classify(args) -> tuple[int, dict]:
+    if args.subordinate_witness and not args.subordinate_classes:
+        raise CliInputError("--subordinate-witness requires --subordinate-classes")
     problem = _load_problem(args.problem)
     verdict = classify(
         problem,
@@ -340,10 +356,6 @@ def _cmd_classify(args) -> tuple[int, dict]:
         exhaustive_ties=args.exhaustive_ties,
     )
     if args.subordinate_witness:
-        if not args.subordinate_classes:
-            raise CliInputError(
-                "--subordinate-witness requires --subordinate-classes"
-            )
         wit = _load_witness(args.subordinate_witness)
         sub_problem = _load_problem(args.subordinate_classes)
         verdict = apply_subordinate_witness(
@@ -406,12 +418,7 @@ def _cmd_special(args) -> tuple[int, dict]:
 def _cmd_verify(args) -> tuple[int, dict]:
     problem = _load_problem(args.problem)
     wit = _load_witness(args.witness)
-    if wit.mode != problem.mode or wit.n != problem.n or wit.count != problem.class_count:
-        raise CliInputError("witness mode/size/class count does not match the problem")
-    relation = verify_relation(wit)
-    memberships = [
-        class_membership(m, c) for m, c in zip(wit.matrices, problem.classes)
-    ]
+    relation, memberships = check_witness(wit, problem)
     # one elimination of the tangent map gives the centralizer dimension,
     # the local dimension and, from the pivots among the columns of the
     # first k - 1 matrices, surjectivity without the last matrix
@@ -425,12 +432,8 @@ def _cmd_verify(args) -> tuple[int, dict]:
     chi = euler_characteristic(wit)
     rigidity = rigidity_report(problem.shapes)
     kappa = rigidity.kappa
-    local_dim = None
-    local_dim_note = None
-    if relation and all(memberships):
-        local_dim = rigidity.sum_d - len(pivots)
-    else:
-        local_dim_note = "skipped: relation or membership failed"
+    passed = relation and all(memberships)
+    local_dim = rigidity.sum_d - len(pivots) if passed else None
     expected = expected_dimension(problem)
     report = {
         "command": "verify",
@@ -448,9 +451,8 @@ def _cmd_verify(args) -> tuple[int, dict]:
         "expected_dimension": expected,
         "dimension_consistent": (local_dim == expected) if (local_dim is not None and cdim == 1) else None,
     }
-    if local_dim_note:
-        report["local_dimension_note"] = local_dim_note
-    passed = relation and all(memberships)
+    if not passed:
+        report["local_dimension_note"] = "skipped: relation or membership failed"
     return (EXIT_OK if passed else EXIT_NEGATIVE), report
 
 
@@ -464,7 +466,7 @@ def _cmd_dim(args) -> tuple[int, dict]:
     if args.witness:
         wit = _load_witness(args.witness)
         try:
-            report["local_dimension"] = local_dimension(wit, problem.classes)
+            report["local_dimension"] = local_dimension(wit, problem)
         except WitnessPreconditionError as exc:
             report["local_dimension"] = None
             report["local_dimension_note"] = str(exc)
@@ -472,24 +474,15 @@ def _cmd_dim(args) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
-def _parse_exact(flag: str, text: str) -> Fraction:
-    """The exact rational a flag's "p/q" or decimal text ("1e-3") denotes."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliInputError(f"{flag}: cannot parse {text!r}: {exc}") from exc
-
-
 def _cmd_deform(args) -> tuple[int, dict]:
     base = _load_witness(args.base)
-    directions_doc = _load_witness(args.directions)
-    if directions_doc.n != base.n or directions_doc.count != base.count:
-        raise CliInputError("directions must match the base tuple in size and count")
+    # directions are drift matrices, not a tuple: they need not be invertible
+    _, directions = _parse_matrices(_load_json(args.directions))
     request = DeformationRequest(
         base=base,
-        directions=directions_doc.matrices,
-        epsilon=_parse_exact("--epsilon", args.epsilon),
-        tolerance=_parse_exact("--tolerance", args.tolerance),
+        directions=tuple(directions),
+        epsilon=_rational(args.epsilon, "--epsilon"),
+        tolerance=_rational(args.tolerance, "--tolerance"),
     )
     result = deform_step(request)
     doc = serialize_witness(result.deformed)
@@ -596,7 +589,7 @@ def run_command(argv) -> tuple[int, dict]:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliInputError as exc:
+    except (CliInputError, WitnessMismatchError) as exc:
         return EXIT_INPUT, {"error": str(exc)}
     except (ProblemError, JnfError, WitnessError, SpecialSearchError,
             RelationSearchCapError, TieVerdictError, DeformationError,

@@ -7,6 +7,7 @@ convert explicitly at the edges.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -14,8 +15,14 @@ class ExactNumberError(ValueError):
     pass
 
 
+# p/q, an integer, or a decimal such as 1.5 or 1e-3; the exponent is
+# capped at 3 digits so that no text can make Fraction build a huge integer
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]{1,3})?)")
+
+
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" or "p" (optionally signed) into an exact Fraction."""
+    """Parse "p/q", "p" or a decimal like "1.5" or "1e-3" (optionally
+    signed, exponent of at most 3 digits) into an exact Fraction."""
     if isinstance(text, Fraction):
         return text
     # JSON true/false arrive as bool, which subclasses int
@@ -25,6 +32,9 @@ def parse_rational(text) -> Fraction:
         raise ExactNumberError(f"refusing float {text!r}; pass a string like '1/3'")
     if not isinstance(text, str):
         raise ExactNumberError(f"cannot parse {text!r} as a rational")
+    if not _RATIONAL.fullmatch(text.strip()):
+        raise ExactNumberError(f"malformed rational {text!r}: expected p/q, an integer "
+                               "or a decimal such as 1.5 or 1e-3 (exponent <= 3 digits)")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -37,26 +47,14 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _coerce_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return parse_rational(x)
-    if isinstance(x, float):
-        raise ExactNumberError(f"refusing float {x!r} in exact arithmetic")
-    raise ExactNumberError(f"cannot use {x!r} as an exact rational")
-
-
 class GaussianRational:
     """Complex number with exact rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _coerce_fraction(re))
-        object.__setattr__(self, "im", _coerce_fraction(im))
+        object.__setattr__(self, "re", parse_rational(re))
+        object.__setattr__(self, "im", parse_rational(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -144,7 +142,7 @@ class GaussianRational:
 def _as_gaussian(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
-    return GaussianRational(_coerce_fraction(x))
+    return GaussianRational(x)
 
 
 GR_ZERO = GaussianRational(0)

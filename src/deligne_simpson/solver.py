@@ -11,7 +11,7 @@ Anything the theory does not decide stays "unknown".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .criteria import GoodnessResult, RigidityReport, is_good, rigidity_report
 from .eigenvalues import (
@@ -25,6 +25,7 @@ from .eigenvalues import (
 )
 from .jnf_core import ClassSpec, is_subordinate
 from .special import SpecialnessReport, classify_specialness
+from .witness import check_witness
 
 SOLVABLE = "solvable"
 UNSOLVABLE = "unsolvable"
@@ -190,8 +191,6 @@ def apply_subordinate_witness(
     defining relation and realizes exactly the witness classes.  On success
     the irreducible problem is unsolvable.
     """
-    from .witness import class_membership, verify_relation
-
     if base_verdict is None:
         base_verdict = classify(problem)
     report = base_verdict.rigidity
@@ -216,28 +215,21 @@ def apply_subordinate_witness(
         raise ProblemError(
             "witness classes all equal the problem classes; no obstruction follows"
         )
-    if witness_tuple.mode != problem.mode or witness_tuple.n != problem.n:
-        raise ProblemError("witness tuple does not match the problem instance")
-    if not verify_relation(witness_tuple):
+    relation, memberships = check_witness(
+        witness_tuple, TupleProblem(problem.mode, problem.n, witness_classes)
+    )
+    if not relation:
         raise ProblemError("witness tuple does not satisfy the defining relation")
-    for j, (m, wc) in enumerate(zip(witness_tuple.matrices, witness_classes)):
-        if not class_membership(m, wc):
-            raise ProblemError(f"witness matrix {j} is not in witness class {j}")
+    if not all(memberships):
+        j = memberships.index(False)
+        raise ProblemError(f"witness matrix {j} is not in witness class {j}")
 
-    dsp = UNSOLVABLE
-    weak = base_verdict.weak_dsp
-    if weak == SOLVABLE:
+    if base_verdict.weak_dsp == SOLVABLE:
         raise ProblemError(
             "internal: subordinate witness contradicts a solvable weak verdict"
         )
-    return Verdict(
-        dsp=dsp,
-        weak_dsp=weak,
+    return replace(
+        base_verdict,
+        dsp=UNSOLVABLE,
         justification=base_verdict.justification + (RULE_SUBORDINATE_WITNESS,),
-        rigidity=base_verdict.rigidity,
-        expected_dimension=base_verdict.expected_dimension,
-        good=base_verdict.good,
-        genericity=base_verdict.genericity,
-        genericity_note=base_verdict.genericity_note,
-        specialness=base_verdict.specialness,
     )

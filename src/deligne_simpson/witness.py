@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import GR_ONE, GR_ZERO, GaussianRational
-from .eigenvalues import ADDITIVE, MULTIPLICATIVE, MultiplicativeEigenvalue
+from .eigenvalues import ADDITIVE, MULTIPLICATIVE, MultiplicativeEigenvalue, TupleProblem
 from .jnf_core import ClassSpec, d_of, rank_sequence
 from .linalg import (
     Matrix,
@@ -41,6 +41,10 @@ class WitnessPreconditionError(WitnessError):
 
 class DeformationError(WitnessError):
     pass
+
+
+class WitnessMismatchError(WitnessError):
+    """A witness of another mode, size or number of matrices than its problem."""
 
 
 class MatrixTuple:
@@ -199,22 +203,33 @@ def is_irreducible(t: MatrixTuple) -> IrreducibilityReport:
     return IrreducibilityReport(irreducible=dim == t.n * t.n, algebra_dimension=dim)
 
 
-def local_dimension(t: MatrixTuple, classes: Sequence[ClassSpec]) -> int:
+def check_witness(t: MatrixTuple, problem: TupleProblem) -> tuple[bool, list[bool]]:
+    """The defining relation and each matrix's membership in its class, or
+    WitnessMismatchError.  `problem` may be any object with a TupleProblem's
+    `mode`, `n` and `classes`, e.g. to hold multiplicative classes with
+    Gaussian values such as 1+i."""
+    if t.mode != problem.mode or t.n != problem.n or t.count != len(problem.classes):
+        raise WitnessMismatchError("witness mode/size/class count does not match the problem")
+    return verify_relation(t), [
+        class_membership(m, c) for m, c in zip(t.matrices, problem.classes)
+    ]
+
+
+def local_dimension(t: MatrixTuple, problem: TupleProblem) -> int:
     """Dimension of the solution variety at the given point.
 
     Computed as sum of class dimensions minus the rank of the summed
     tangent map (Y_1..Y_k) -> sum of [M_j, Y_j]; at points with trivial
     centralizer that rank is n^2 - 1 and the value reduces to n^2 + 1 - kappa.
     """
-    classes = tuple(classes)
-    if len(classes) != t.count:
-        raise WitnessPreconditionError("one class per matrix is required")
-    if not verify_relation(t):
+    relation, memberships = check_witness(t, problem)
+    if not relation:
         raise WitnessPreconditionError("tuple does not satisfy its defining relation")
-    for j, (m, c) in enumerate(zip(t.matrices, classes)):
-        if not class_membership(m, c):
-            raise WitnessPreconditionError(f"matrix {j} is not in its declared class")
-    return sum(d_of(c.shape) for c in classes) - rank(commutator_operator(t.matrices))
+    if not all(memberships):
+        raise WitnessPreconditionError(
+            f"matrix {memberships.index(False)} is not in its declared class"
+        )
+    return sum(d_of(c.shape) for c in problem.classes) - rank(commutator_operator(t.matrices))
 
 
 def euler_characteristic(t: MatrixTuple) -> int:

@@ -22,6 +22,7 @@ from deligne_simpson import (
     JnfShape,
     Matrix,
     MatrixTuple,
+    TupleProblem,
     assemble_block_diagonal,
     centralizer_dimension,
     check_surjectivity,
@@ -240,7 +241,7 @@ def test_criterion_5_dimension_formula(
             ok = False
             break
         n = wit.n
-        if local_dimension(wit, classes) != n * n + 1 - kappa:
+        if local_dimension(wit, TupleProblem(wit.mode, n, classes)) != n * n + 1 - kappa:
             ok = False
             break
     elapsed = time.monotonic() - t0

@@ -4,10 +4,12 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from deligne_simpson import cli
+from deligne_simpson.exactnum import ExactNumberError, parse_rational
 from deligne_simpson.cli import (
     CliInputError,
     main,
@@ -293,6 +295,127 @@ class TestCommands:
     def test_missing_file_is_input_error(self):
         code, report = _run("classify", "no_such_file.json")
         assert code == 2 and "error" in report
+
+
+def _witness_doc(mode, mats):
+    return {
+        "mode": mode,
+        "n": len(mats[0]),
+        "matrices": [[[{"re": str(x)} for x in row] for row in m] for m in mats],
+    }
+
+
+MISMATCH = "witness mode/size/class count does not match the problem"
+MISMATCHED_WITNESSES = {
+    "mode": _witness_doc("multiplicative", [[[1, 0], [0, 1]]] * 3),
+    "n": _witness_doc("additive", [[[0] * 3] * 3] * 3),
+    # the first three matrices lie in subordinate_demo's subordinate classes
+    # but sum to diag(2, -2); only the fourth restores the relation
+    "count": _witness_doc(
+        "additive",
+        [[[0, 0], [0, 0]], [[1, 0], [0, -1]], [[1, 0], [0, -1]], [[-2, 0], [0, 2]]],
+    ),
+}
+
+
+def _mismatch_argv(command, witness):
+    if command == "verify":
+        return ["verify", str(SAMPLES / "rigid_n2_problem.json"), witness]
+    if command == "dim":
+        return ["dim", str(SAMPLES / "rigid_n2_problem.json"), "--witness", witness]
+    return [
+        "classify",
+        str(SAMPLES / "subordinate_demo_problem.json"),
+        "--subordinate-witness",
+        witness,
+        "--subordinate-classes",
+        str(SAMPLES / "subordinate_demo_sub_classes.json"),
+    ]
+
+
+class TestWitnessContract:
+    """verify, dim --witness and classify --subordinate-witness reject a
+    witness that does not fit its problem alike: exit 2, one message."""
+
+    @pytest.mark.parametrize("kind", sorted(MISMATCHED_WITNESSES))
+    @pytest.mark.parametrize("command", ["verify", "dim", "classify"])
+    def test_mismatch_is_one_input_error(self, tmp_path, command, kind):
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(MISMATCHED_WITNESSES[kind]))
+        assert _run(*_mismatch_argv(command, str(path))) == (2, {"error": MISMATCH})
+
+    def test_subordinate_rule_needs_subordinate_classes_before_classifying(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("classify ran")
+
+        monkeypatch.setattr(cli, "classify", fail)
+        code, report = _run(
+            "classify",
+            str(SAMPLES / "subordinate_demo_problem.json"),
+            "--subordinate-witness",
+            str(SAMPLES / "subordinate_demo_sub_witness.json"),
+        )
+        assert code == 2
+        assert report["error"] == "--subordinate-witness requires --subordinate-classes"
+
+    def test_deform_directions_need_not_be_invertible(self, tmp_path):
+        # trivial centralizer, A B C = I; zero directions in a
+        # multiplicative-mode document leave the base unchanged
+        base = [[[1, 1], [0, 1]], [[0, -1], [1, 0]], [[0, 1], [-1, 1]]]
+        paths = []
+        for name, mats in (("base", base), ("directions", [[[0, 0], [0, 0]]] * 3)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(_witness_doc("multiplicative", mats)))
+        code, report = _run("deform", *map(str, paths), "--epsilon", "1/64")
+        assert code == 0
+        assert report["residual"] == "0"
+        assert parse_witness(report["deformed"]) == parse_witness(
+            _witness_doc("multiplicative", base)
+        )
+
+
+class TestRationalGrammar:
+    """Document values and --epsilon / --tolerance go through one bounded
+    parser: p/q, integers and decimals with an exponent of at most 3 digits."""
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("3/4", Fraction(3, 4)), ("-2", Fraction(-2)), ("1.5", Fraction(3, 2)),
+         (".5", Fraction(1, 2)), ("1e-3", Fraction(1, 1000)), ("2E+2", Fraction(200)),
+         (" 7/8 ", Fraction(7, 8)), ("1e999", Fraction(10**999))],
+    )
+    def test_accepted(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize(
+        "text", ["1e1000", "1e999999999", "1_000", "1/2e3", "1.5/2", "nan", "", "1/0"]
+    )
+    def test_rejected(self, text):
+        with pytest.raises(ExactNumberError):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["1e999999999", "1_000"])
+    def test_document_value_is_input_error_with_path(self, tmp_path, text):
+        doc = _size_one_problem()
+        doc["classes"][1]["eigenvalues"][0]["value"] = {"re": text}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        code, report = _run("classify", str(path))
+        assert code == 2
+        assert report["error"].startswith("classes[1].eigenvalues[0].value: malformed rational")
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--tolerance"])
+    @pytest.mark.parametrize("text", ["1e999999999", "1_000"])
+    def test_flag_is_input_error_with_flag_name(self, flag, text):
+        argv = {"--epsilon": "1/1024", "--tolerance": "1e-3", flag: text}
+        code, report = _run(
+            "deform",
+            str(SAMPLES / "rigid_n2_witness.json"),
+            str(SAMPLES / "deform_directions_n2.json"),
+            *[x for item in argv.items() for x in item],
+        )
+        assert code == 2
+        assert report["error"].startswith(f"{flag}: malformed rational")
 
 
 def _size_one_problem():

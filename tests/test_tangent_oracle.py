@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 from functools import reduce
+from types import SimpleNamespace
 
 import pytest
 
@@ -191,7 +192,9 @@ def test_witness_ranks_match_sympy(label, t, values):
         )
     if values is not None:
         classes = [_class_of(m, v) for m, v in zip(t.matrices, values)]
-        assert local_dimension(t, classes) == sum(orbit) - _sum_map_rank(mats)
+        # 1+i has no MultiplicativeEigenvalue form, so no TupleProblem here
+        problem = SimpleNamespace(mode=t.mode, n=n, classes=classes)
+        assert local_dimension(t, problem) == sum(orbit) - _sum_map_rank(mats)
 
 
 def test_cases_cover_both_outcomes():

@@ -15,6 +15,7 @@ from deligne_simpson import (
     GaussianRational,
     Matrix,
     MatrixTuple,
+    TupleProblem,
     WitnessError,
     WitnessPreconditionError,
     assemble_block_diagonal,
@@ -153,29 +154,29 @@ class TestIrreducibility:
 
 
 class TestLocalDimension:
-    def test_rigid_n2(self, rigid_n2_witness, rigid_n2_classes):
-        assert local_dimension(rigid_n2_witness, rigid_n2_classes) == 3
+    def test_rigid_n2(self, rigid_n2_witness, rigid_n2_problem):
+        assert local_dimension(rigid_n2_witness, rigid_n2_problem) == 3
 
     def test_rigid_n3(self, rigid_n3_witness, rigid_n3_classes):
-        assert local_dimension(rigid_n3_witness, rigid_n3_classes) == 8
+        assert local_dimension(rigid_n3_witness, TupleProblem(ADDITIVE, 3, rigid_n3_classes)) == 8
 
     def test_scalar_tuple_zero(self):
         t = MatrixTuple(ADDITIVE, [Matrix.zeros(2, 2)] * 3)
         classes = [ClassSpec(shape([1, 1]), [gr(0)])] * 3
-        assert local_dimension(t, classes) == 0
+        assert local_dimension(t, TupleProblem(ADDITIVE, 2, classes)) == 0
 
     def test_matches_expected_dimension_at_trivial_centralizer(
-        self, rigid_n2_witness, rigid_n2_classes, rigid_n2_problem
+        self, rigid_n2_witness, rigid_n2_problem
     ):
         assert centralizer_dimension(rigid_n2_witness) == 1
-        assert local_dimension(rigid_n2_witness, rigid_n2_classes) == expected_dimension(
+        assert local_dimension(rigid_n2_witness, rigid_n2_problem) == expected_dimension(
             rigid_n2_problem
         )
 
-    def test_precondition_failures_raise(self, rigid_n2_witness, rigid_n2_classes):
+    def test_precondition_failures_raise(self, rigid_n2_witness, rigid_n2_problem):
         broken = MatrixTuple(ADDITIVE, list(rigid_n2_witness.matrices[:2]) + [Matrix.zeros(2, 2)])
         with pytest.raises(WitnessPreconditionError):
-            local_dimension(broken, rigid_n2_classes)
+            local_dimension(broken, rigid_n2_problem)
 
 
 class TestEulerCharacteristic:
