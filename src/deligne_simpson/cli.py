@@ -349,6 +349,8 @@ def _load_witness(path: str) -> MatrixTuple:
 def _cmd_classify(args) -> tuple[int, dict]:
     if args.subordinate_witness and not args.subordinate_classes:
         raise CliInputError("--subordinate-witness requires --subordinate-classes")
+    if args.subordinate_classes and not args.subordinate_witness:
+        raise CliInputError("--subordinate-classes requires --subordinate-witness")
     problem = _load_problem(args.problem)
     verdict = classify(
         problem,

@@ -2,13 +2,16 @@
 
 Every verdict-grade computation in this package runs over the field Q(i).
 Floats are rejected at construction time; callers that want float output
-convert explicitly at the edges.
+convert explicitly at the edges.  A Gaussian rational (a + b*i)/d is held
+as one integer triple with d > 0 and gcd(a, b, d) = 1, so its arithmetic
+is integer arithmetic and one gcd per result.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 
 class ExactNumberError(ValueError):
@@ -48,56 +51,76 @@ def format_rational(x: Fraction) -> str:
 
 
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    The value (a + b*i)/d is held as one integer triple (a, b, d) with
+    d > 0 and gcd(a, b, d) = 1.  That form is unique, so equality and
+    hashing compare the triple.  Every operation is integer arithmetic
+    followed by one three-way gcd in `_make`; only the public constructor
+    parses its arguments.  `re` and `im` are the parts as Fractions.
+    """
+
+    __slots__ = ("_t",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", parse_rational(re))
-        object.__setattr__(self, "im", parse_rational(im))
+        re = parse_rational(re)
+        im = parse_rational(im)
+        p, q = re.denominator, im.denominator
+        d = p * q // gcd(p, q)
+        # both parts are in lowest terms, so gcd(a, b, d) is already 1
+        _set(self, (re.numerator * (d // p), im.numerator * (d // q), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._t[0], self._t[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._t[1], self._t[2])
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a1, b1, d1 = self._t
+        a2, b2, d2 = _as_gaussian(other)._t
+        if d1 == d2:
+            return _make(a1 + a2, b1 + b2, d1)
+        return _make(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_gaussian(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        a1, b1, d1 = self._t
+        a2, b2, d2 = _as_gaussian(other)._t
+        if d1 == d2:
+            return _make(a1 - a2, b1 - b2, d1)
+        return _make(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __rsub__(self, other):
         return _as_gaussian(other) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        a, b, d = self._t
+        return _make(-a, -b, d)
 
     def __mul__(self, other):
-        other = _as_gaussian(other)
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, d1 = self._t
+        a2, b2, d2 = _as_gaussian(other)._t
+        return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_gaussian(other)
-        if not other.re and not other.im:
+        a1, b1, d1 = self._t
+        a2, b2, d2 = _as_gaussian(other)._t
+        if not a2 and not b2:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        if not self.im and not other.im:
-            return GaussianRational(self.re / other.re)
-        norm = other.re * other.re + other.im * other.im
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
+        # multiply by the conjugate a2 - b2*i over the norm a2^2 + b2^2
+        return _make(
+            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * (a2 * a2 + b2 * b2)
         )
 
     def __rtruediv__(self, other):
@@ -110,20 +133,21 @@ class GaussianRational:
             other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._t == other._t
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self._t)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._t[0] or self._t[1])
 
     def is_zero(self) -> bool:
         return not self
 
     def l1(self) -> Fraction:
         """|re| + |im|; submultiplicative magnitude proxy used for norms."""
-        return abs(self.re) + abs(self.im)
+        a, b, d = self._t
+        return Fraction(abs(a) + abs(b), d)
 
     def __repr__(self):
         if not self.im:
@@ -137,6 +161,22 @@ class GaussianRational:
             return f"{format_rational(self.im)}i"
         sign = "+" if self.im > 0 else "-"
         return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}i"
+
+
+_new = object.__new__
+_set = GaussianRational._t.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, reduced to lowest terms."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    z = _new(GaussianRational)
+    _set(z, (a, b, d))
+    return z
 
 
 def _as_gaussian(x) -> GaussianRational:

@@ -303,6 +303,19 @@ def sl_basis(n: int) -> list[Matrix]:
     return out
 
 
+def sl_element(n: int, coords: Sequence[GaussianRational]) -> Matrix:
+    """The trace-zero matrix sum of coords[i] * sl_basis(n)[i], written
+    entry by entry: the off-diagonal coordinates in place, then diagonal
+    entry i is d_i - d_(i-1), d_i the coordinate of E_ii - E_(i+1)(i+1)
+    and d_(-1) = d_(n-1) = 0."""
+    off = iter(coords[: n * n - n])
+    rows = [[GR_ZERO if r == s else next(off) for s in range(n)] for r in range(n)]
+    diag = [GR_ZERO, *coords[n * n - n :], GR_ZERO]
+    for i in range(n):
+        rows[i][i] = diag[i + 1] - diag[i]
+    return Matrix(rows)
+
+
 def commutator_operator(
     matrices: Sequence[Matrix],
     outer: Sequence[tuple[Matrix, Matrix]] | None = None,

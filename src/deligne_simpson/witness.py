@@ -25,7 +25,7 @@ from .linalg import (
     commutator_operator,
     inverse,
     rank,
-    sl_basis,
+    sl_element,
     solve_first,
     vec,
 )
@@ -357,14 +357,10 @@ def deform_step(req: DeformationRequest) -> DeformationResult:
         raise DeformationError("direction constraint tr(sum L_j N_j R_j) = 0 fails")
     if coords is None:
         raise DeformationError("first-order system is unsolvable")
-    basis = sl_basis(n)
-    x_matrices = []
-    for j in range(base.count):
-        acc = Matrix.zeros(n, n)
-        for b, c in zip(basis, coords[j * len(basis) :]):
-            if c:
-                acc = acc + b.scale(c)
-        x_matrices.append(acc)
+    size = n * n - 1
+    x_matrices = [
+        sl_element(n, coords[j * size : (j + 1) * size]) for j in range(base.count)
+    ]
 
     deformed = []
     for m, d, x in zip(base.matrices, directions, x_matrices):

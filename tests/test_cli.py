@@ -358,6 +358,17 @@ class TestWitnessContract:
         assert code == 2
         assert report["error"] == "--subordinate-witness requires --subordinate-classes"
 
+    def test_subordinate_classes_alone_is_input_error(self):
+        # an option the command would ignore, even naming a missing file
+        code, report = _run(
+            "classify",
+            str(SAMPLES / "subordinate_demo_problem.json"),
+            "--subordinate-classes",
+            str(SAMPLES / "no_such_classes.json"),
+        )
+        assert code == 2
+        assert report["error"] == "--subordinate-classes requires --subordinate-witness"
+
     def test_deform_directions_need_not_be_invertible(self, tmp_path):
         # trivial centralizer, A B C = I; zero directions in a
         # multiplicative-mode document leave the base unchanged

@@ -23,6 +23,8 @@ from deligne_simpson.linalg import (
     inverse,
     pivot_columns,
     rank,
+    sl_basis,
+    sl_element,
     solve_first,
 )
 
@@ -218,3 +220,14 @@ def test_block_upper_triangular_algebra_dimension(a, b):
     assert report.algebra_dimension == a * a + b * b + a * b
     if a + b <= 4:
         assert report.algebra_dimension == _sympy_algebra_dimension(mats)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sl_element_is_the_basis_combination(n):
+    rng = random.Random(n)
+    coords = [_entry(rng) for _ in range(n * n - 1)]
+    expected = Matrix.zeros(n, n)
+    for b, c in zip(sl_basis(n), coords):
+        expected = expected + b.scale(c)
+    assert sl_element(n, coords) == expected
+    assert sl_element(n, coords).trace() == 0
