@@ -45,9 +45,13 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return _format_ratio(x.numerator, x.denominator)
+
+
+def _format_ratio(p: int, q: int) -> str:
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 class GaussianRational:
@@ -85,7 +89,7 @@ class GaussianRational:
 
     def __add__(self, other):
         a1, b1, d1 = self._t
-        a2, b2, d2 = _as_gaussian(other)._t
+        a2, b2, d2 = as_gaussian(other)._t
         if d1 == d2:
             return _make(a1 + a2, b1 + b2, d1)
         return _make(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
@@ -94,13 +98,13 @@ class GaussianRational:
 
     def __sub__(self, other):
         a1, b1, d1 = self._t
-        a2, b2, d2 = _as_gaussian(other)._t
+        a2, b2, d2 = as_gaussian(other)._t
         if d1 == d2:
             return _make(a1 - a2, b1 - b2, d1)
         return _make(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __rsub__(self, other):
-        return _as_gaussian(other) - self
+        return as_gaussian(other) - self
 
     def __neg__(self):
         a, b, d = self._t
@@ -108,14 +112,14 @@ class GaussianRational:
 
     def __mul__(self, other):
         a1, b1, d1 = self._t
-        a2, b2, d2 = _as_gaussian(other)._t
+        a2, b2, d2 = as_gaussian(other)._t
         return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         a1, b1, d1 = self._t
-        a2, b2, d2 = _as_gaussian(other)._t
+        a2, b2, d2 = as_gaussian(other)._t
         if not a2 and not b2:
             raise ZeroDivisionError("division by zero Gaussian rational")
         # multiply by the conjugate a2 - b2*i over the norm a2^2 + b2^2
@@ -124,19 +128,22 @@ class GaussianRational:
         )
 
     def __rtruediv__(self, other):
-        return _as_gaussian(other) / self
+        return as_gaussian(other) / self
 
     # -- structure ----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self._t == other._t
+        if isinstance(other, GaussianRational):
+            return self._t == other._t
+        # a bool is not a number here, although it subclasses int
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return self._t == (other.numerator, 0, other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash(self._t)
+        # a real value hashes as the equal Fraction, and so int, does
+        a, b, d = self._t
+        return hash(self._t) if b else hash(Fraction(a, d))
 
     def __bool__(self):
         return bool(self._t[0] or self._t[1])
@@ -150,17 +157,18 @@ class GaussianRational:
         return Fraction(abs(a) + abs(b), d)
 
     def __repr__(self):
-        if not self.im:
-            return f"GaussianRational({format_rational(self.re)})"
-        return f"GaussianRational({format_rational(self.re)}, {format_rational(self.im)})"
+        a, b, d = self._t
+        parts = [_format_ratio(a, d)] + ([_format_ratio(b, d)] if b else [])
+        return f"GaussianRational({', '.join(parts)})"
 
     def __str__(self):
-        if not self.im:
-            return format_rational(self.re)
-        if not self.re:
-            return f"{format_rational(self.im)}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}i"
+        a, b, d = self._t
+        if not b:
+            return _format_ratio(a, d)
+        if not a:
+            return f"{_format_ratio(b, d)}i"
+        sign = "+" if b > 0 else "-"
+        return f"{_format_ratio(a, d)}{sign}{_format_ratio(abs(b), d)}i"
 
 
 _new = object.__new__
@@ -179,7 +187,7 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     return z
 
 
-def _as_gaussian(x) -> GaussianRational:
+def as_gaussian(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
     return GaussianRational(x)

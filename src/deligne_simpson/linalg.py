@@ -15,14 +15,22 @@ within one matrix, over `sl_basis(n)` in order: the off-diagonal units
 E_rs row by row, then E_ii - E_(i+1)(i+1).  So the matrix is
 n^2 x k(n^2 - 1), and its image is the trace-form orthogonal complement
 of the tuple's centralizer.
+
+The map is written, not multiplied out: [M, E_rs] is column r of M
+placed at column s minus row s of M placed at row r, and the overlap
+M[r][r] - M[s][s] is its one computed entry.  With outer factors,
+L [M, E_rs] R = (LM) E_rs R - L E_rs (MR) costs one product per pair of
+nonzero entries.  Each image is held as its support {position: entry},
+so a diagonal column E_ii - E_(i+1)(i+1) differences two supports.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactnum import GR_ONE, GR_ZERO, GaussianRational
+from .exactnum import GR_ONE, GR_ZERO, GaussianRational, as_gaussian
 
 
 class LinalgError(ValueError):
@@ -33,19 +41,13 @@ class SingularMatrixError(LinalgError):
     pass
 
 
-def _entry(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(x)
-
-
 class Matrix:
     """Immutable matrix with GaussianRational entries."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        converted = tuple(tuple(_entry(x) for x in row) for row in rows)
+        converted = tuple(tuple(as_gaussian(x) for x in row) for row in rows)
         if not converted or not converted[0]:
             raise LinalgError("matrix needs at least one row and one column")
         width = len(converted[0])
@@ -53,13 +55,20 @@ class Matrix:
             raise LinalgError("ragged rows")
         object.__setattr__(self, "rows", converted)
 
+    @classmethod
+    def _of(cls, rows) -> "Matrix":
+        # rows the engine built: nonempty, rectangular, all GaussianRational
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(
-            [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
+        return cls._of(
+            tuple(tuple(GR_ONE if i == j else GR_ZERO for j in range(n)) for i in range(n))
         )
 
     @classmethod
@@ -90,24 +99,18 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
+        return Matrix._of(
+            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
+        return Matrix._of(
+            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.rows])
+        return Matrix._of(tuple(tuple(-a for a in row) for row in self.rows))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -126,13 +129,13 @@ class Matrix:
                         if a and b:
                             acc = acc + a * b
                     out_row.append(acc)
-                out.append(out_row)
-            return Matrix(out)
+                out.append(tuple(out_row))
+            return Matrix._of(tuple(out))
         return self.scale(other)
 
     def scale(self, scalar) -> "Matrix":
-        s = _entry(scalar)
-        return Matrix([[a * s for a in row] for row in self.rows])
+        s = as_gaussian(scalar)
+        return Matrix._of(tuple(tuple(a * s for a in row) for row in self.rows))
 
     def trace(self) -> GaussianRational:
         if not self.is_square:
@@ -149,16 +152,11 @@ class Matrix:
         """self - lam * I"""
         if not self.is_square:
             raise LinalgError("scalar shift of a non-square matrix")
-        lam = _entry(lam)
-        return Matrix(
-            [
-                [
-                    self.rows[i][j] - lam if i == j else self.rows[i][j]
-                    for j in range(self.ncols)
-                ]
-                for i in range(self.nrows)
-            ]
-        )
+        lam = as_gaussian(lam)
+        return Matrix._of(tuple(
+            tuple(x - lam if i == j else x for j, x in enumerate(row))
+            for i, row in enumerate(self.rows)
+        ))
 
     def norm_rowsum(self) -> Fraction:
         """Max row sum of |re|+|im| entry magnitudes (submultiplicative)."""
@@ -241,7 +239,7 @@ def solve_first(matrix: Matrix, rhs: Sequence[GaussianRational]):
     if len(rhs) != matrix.nrows:
         raise LinalgError("right-hand side length mismatch")
     ncols = matrix.ncols
-    pivots = _reduce(list(row) + [_entry(b)] for row, b in zip(matrix.rows, rhs))
+    pivots = _reduce(list(row) + [as_gaussian(b)] for row, b in zip(matrix.rows, rhs))
     if ncols in pivots:
         return None, len(pivots) - 1
     return [xc[0] for xc in _back_substitute(pivots, ncols, 1)], len(pivots)
@@ -259,21 +257,22 @@ def inverse(matrix: Matrix) -> Matrix:
     # lies in M's block
     if max(pivots) >= n:
         raise SingularMatrixError("matrix is singular")
-    return Matrix(_back_substitute(pivots, n, n))
+    return Matrix._of(tuple(map(tuple, _back_substitute(pivots, n, n))))
 
 
 def algebra_dimension(matrices: Sequence[Matrix]) -> int:
     """Dimension of the unital algebra generated by the square matrices.
 
     The span of the words in the generators is closed by left-multiplying
-    every independent word by every generator.
+    every independent word by every generator, shortest words first: the
+    span does not depend on the order, and short words keep entries small.
     """
     n = matrices[0].nrows
     pivots: dict[int, list[GaussianRational]] = {}
-    queue = [Matrix.identity(n)]
+    queue = deque([Matrix.identity(n)])
     _add_row(pivots, list(vec(queue[0])))
     while queue and len(pivots) < n * n:
-        m = queue.pop()
+        m = queue.popleft()
         for g in matrices:
             p = g * m
             if _add_row(pivots, list(vec(p))):
@@ -324,37 +323,54 @@ def commutator_operator(
 
     Column j * (n^2 - 1) + i is vec(L_j [M_j, b_i] R_j), b_i the i-th
     element of sl_basis(n); `outer` holds the pairs (L_j, R_j), identities
-    when omitted.  Each column is read off the entries through
-    L [M, E_rs] R = (LM) E_rs R - L E_rs (MR).  At n = 1 the map is zero on
-    a zero space; one zero column stands for it, so its rank is 0.
+    when omitted.  At n = 1 the map is zero on a zero space; one zero
+    column stands for it, so its rank is 0.
     """
     matrices = tuple(matrices)
     n = matrices[0].nrows
     if n == 1:
         return Matrix.zeros(1, 1)
-    identity = Matrix.identity(n)
     columns: list[list[GaussianRational]] = []
     for j, m in enumerate(matrices):
-        left, right = (identity, identity) if outer is None else outer[j]
-        left_cols, lm_cols = _nonzero(zip(*left.rows)), _nonzero(zip(*(left * m).rows))
-        right_rows, mr_rows = _nonzero(right.rows), _nonzero((m * right).rows)
-
-        def image(r: int, s: int) -> list[GaussianRational]:
-            v = [GR_ZERO] * (n * n)
-            for a, x in lm_cols[r]:
-                for b, y in right_rows[s]:
-                    v[a * n + b] = v[a * n + b] + x * y
-            for a, x in left_cols[r]:
-                for b, y in mr_rows[s]:
-                    v[a * n + b] = v[a * n + b] - x * y
-            return v
-
-        columns.extend(image(r, s) for r in range(n) for s in range(n) if r != s)
+        image = _placed(m, n) if outer is None else _multiplied(m, *outer[j], n)
         diagonal = [image(i, i) for i in range(n)]
-        columns.extend(
-            [x - y for x, y in zip(diagonal[i], diagonal[i + 1])] for i in range(n - 1)
-        )
-    return Matrix(zip(*columns))
+        for step, nxt in zip(diagonal, diagonal[1:]):
+            for p, x in nxt.items():
+                step[p] = step[p] - x if p in step else -x
+        for v in [image(r, s) for r in range(n) for s in range(n) if r != s] + diagonal[:-1]:
+            column = [GR_ZERO] * (n * n)
+            for p, x in v.items():
+                column[p] = x
+            columns.append(column)
+    return Matrix._of(tuple(zip(*columns)))
+
+
+def _placed(m: Matrix, n: int):
+    cols = _nonzero(zip(*m.rows))
+    neg_rows = [[(b, -y) for b, y in row] for row in _nonzero(m.rows)]
+
+    def image(r: int, s: int) -> dict[int, GaussianRational]:
+        v = {a * n + s: x for a, x in cols[r]}
+        v.update((r * n + b, y) for b, y in neg_rows[s])
+        v[r * n + s] = m.rows[r][r] - m.rows[s][s]
+        return v
+
+    return image
+
+
+def _multiplied(m: Matrix, left: Matrix, right: Matrix, n: int):
+    left_cols, lm_cols = _nonzero(zip(*left.rows)), _nonzero(zip(*(left * m).rows))
+    right_rows, mr_rows = _nonzero(right.rows), _nonzero((m * right).rows)
+
+    def image(r: int, s: int) -> dict[int, GaussianRational]:
+        v = {a * n + b: x * y for a, x in lm_cols[r] for b, y in right_rows[s]}
+        for a, x in left_cols[r]:
+            for b, y in mr_rows[s]:
+                p = a * n + b
+                v[p] = v[p] - x * y if p in v else -(x * y)
+        return v
+
+    return image
 
 
 def _nonzero(lines) -> list[list[tuple[int, GaussianRational]]]:

@@ -198,8 +198,14 @@ class IrreducibilityReport:
 
 def is_irreducible(t: MatrixTuple) -> IrreducibilityReport:
     """Burnside test: the unital algebra generated by the tuple has full
-    dimension n^2 exactly when no common proper invariant subspace exists."""
-    dim = algebra_dimension(t.matrices)
+    dimension n^2 exactly when no common proper invariant subspace exists.
+
+    When the relation holds the last matrix lies in the algebra of the
+    others, A_k = -(A_1 + .. + A_(k-1)) or M_k = P^-1 for P = M_1 .. M_(k-1),
+    a polynomial in P by Cayley-Hamilton, so the closure leaves it out; when
+    the relation fails every matrix is kept."""
+    gens = t.matrices[:-1] if t.count > 1 and verify_relation(t) else t.matrices
+    dim = algebra_dimension(gens)
     return IrreducibilityReport(irreducible=dim == t.n * t.n, algebra_dimension=dim)
 
 

@@ -211,6 +211,24 @@ def test_equality_and_hash():
     assert (x == "1/2") is False and x.__eq__("1/2") is NotImplemented
 
 
+def test_numeric_tower():
+    """Equal numbers hash equal, so a GaussianRational and the int or
+    Fraction it equals find each other in dicts and sets; a bool is not
+    a number and compares unequal instead of raising."""
+    assert {GR_ONE: "x"}.get(1) == "x" and {1: "x"}.get(GR_ONE) == "x"
+    assert hash(GaussianRational("1/3")) == hash(Fraction(1, 3))
+    assert {Fraction(-1, 2), GaussianRational("-3/6"), GaussianRational(0, 1)} == {
+        GaussianRational("-1/2"), GaussianRational(0, 1)}
+    for p in OPERANDS:
+        x = GaussianRational(*p)
+        if not x.im:
+            assert hash(x) == hash(x.re) and x == x.re
+            if x.re.denominator == 1:
+                assert hash(x) == hash(x.re.numerator) and x == x.re.numerator
+    assert (GR_ONE == True) is False and (GR_ZERO == False) is False
+    assert GR_ONE != True and (True == GR_ONE) is False
+
+
 def test_equal_values_from_different_routes():
     half = GaussianRational(1, 0) / 2
     routes = [

@@ -9,6 +9,10 @@ and some with zeroed rows and columns, are checked against sympy's
 `is_irreducible` is compared with a word-span closure ranked by sympy,
 and with a^2 + b^2 + ab on conjugated block-upper-triangular tuples,
 whose generated algebra is the whole block-upper-triangular algebra.
+The closure `is_irreducible` runs without a tuple's last matrix when the
+relation holds is checked against sympy's closure of all of them, on
+relation tuples, block-diagonal assemblies and tuples that break their
+relation.
 """
 
 from __future__ import annotations
@@ -17,9 +21,19 @@ import random
 
 import pytest
 
-from deligne_simpson import ADDITIVE, GaussianRational, Matrix, MatrixTuple, is_irreducible
+from deligne_simpson import (
+    ADDITIVE,
+    MULTIPLICATIVE,
+    GaussianRational,
+    Matrix,
+    MatrixTuple,
+    assemble_block_diagonal,
+    is_irreducible,
+    verify_relation,
+)
 from deligne_simpson.linalg import (
     SingularMatrixError,
+    algebra_dimension,
     inverse,
     pivot_columns,
     rank,
@@ -27,6 +41,8 @@ from deligne_simpson.linalg import (
     sl_element,
     solve_first,
 )
+
+from conftest import random_relation_tuple
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -220,6 +236,58 @@ def test_block_upper_triangular_algebra_dimension(a, b):
     assert report.algebra_dimension == a * a + b * b + a * b
     if a + b <= 4:
         assert report.algebra_dimension == _sympy_algebra_dimension(mats)
+
+
+def _closure_cases():
+    """Relation tuples of both modes, block-diagonal assemblies of them
+    (reducible: generated algebra l^2 < n^2), and tuples whose relation is
+    broken by a last matrix the other two do not generate."""
+    rng = random.Random(8)
+    cases = []
+    for mode in (ADDITIVE, MULTIPLICATIVE):
+        for n in range(1, 5):
+            for count in (2, 3, 4):
+                cases.append(random_relation_tuple(rng, n, count, mode=mode))
+        for l, copies in ((1, 3), (2, 2)):
+            block = random_relation_tuple(rng, l, 3, mode=mode)
+            cases.append(assemble_block_diagonal(block, copies).assembled)
+    for n in (2, 3):
+        diagonal = [Matrix([[k + 1 + i * (k + 2) if i == j else 0 for j in range(n)]
+                            for i in range(n)]) for k in range(2)]
+        cases.append(MatrixTuple(ADDITIVE, diagonal + [_invertible(rng, n)]))
+        cases.append(MatrixTuple(MULTIPLICATIVE, diagonal + [_invertible(rng, n)]))
+    return cases
+
+
+CLOSURE_CASES = _closure_cases()
+
+
+@pytest.mark.parametrize("index", range(len(CLOSURE_CASES)))
+def test_closure_without_the_last_generator(index):
+    """`is_irreducible` leaves the last matrix out when the relation puts
+    it in the algebra of the others; its dimension must still be that of
+    the algebra of the whole tuple."""
+    t = CLOSURE_CASES[index]
+    expected = _sympy_algebra_dimension(list(t.matrices))
+    assert algebra_dimension(t.matrices) == expected
+    report = is_irreducible(t)
+    assert report.algebra_dimension == expected
+    assert report.irreducible == (expected == t.n * t.n)
+
+
+def test_closure_cases_cover_dropping_and_keeping():
+    related = [t for t in CLOSURE_CASES if verify_relation(t)]
+    broken = [t for t in CLOSURE_CASES if not verify_relation(t)]
+    assert len(related) > 20 and len(broken) == 4
+    # without its last matrix a broken tuple generates a smaller algebra
+    assert all(algebra_dimension(t.matrices[:-1]) < algebra_dimension(t.matrices) for t in broken)
+    assert {is_irreducible(t).irreducible for t in related} == {True, False}
+
+
+def test_rigid_n3_witness_algebra_dimension(rigid_n3_witness):
+    assert verify_relation(rigid_n3_witness)
+    assert is_irreducible(rigid_n3_witness).algebra_dimension == 5
+    assert _sympy_algebra_dimension(list(rigid_n3_witness.matrices)) == 5
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
