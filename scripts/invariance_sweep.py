@@ -16,7 +16,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from deligne_simpson import centralizer_dimension, check_surjectivity, is_good
+from deligne_simpson import is_good, tangent_rank
+from deligne_simpson.linalg import commutator_operator, rank
 
 from conftest import random_relation_tuple, random_shape_tuple
 
@@ -43,8 +44,11 @@ def sweep_duality(rng: random.Random, rounds: int) -> dict:
         n = rng.randint(2, 5)
         mode = "additive" if trial % 2 else "multiplicative"
         t = random_relation_tuple(rng, n, rng.randint(2, 4), mode=mode)
-        centr = centralizer_dimension(t)
-        surj = check_surjectivity(t.matrices[:-1])
+        tangent = tangent_rank(t)
+        centr = tangent.centralizer_dimension
+        # the map of the first k - 1 matrices, eliminated on its own
+        surj = rank(commutator_operator(t.matrices[:-1])) == n * n - 1
+        assert tangent.surjective_without_last == surj, t
         assert (centr == 1) == surj, t
         stats["tuples"] += 1
         stats["trivial"] += centr == 1

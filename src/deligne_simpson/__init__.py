@@ -34,7 +34,6 @@ from .jnf_core import (
     Partition,
     RankSequence,
     SubordinationResult,
-    conjugate_partition,
     d_of,
     is_subordinate,
     partitions_of,
@@ -49,7 +48,6 @@ from .solver import (
     Verdict,
     apply_subordinate_witness,
     classify,
-    expected_dimension,
 )
 from .special import (
     SpecialCertificate,
@@ -60,20 +58,19 @@ from .special import (
 )
 from .witness import (
     AssemblyResult,
-    DeformationRequest,
     DeformationResult,
     MatrixTuple,
+    TangentRank,
     WitnessError,
     WitnessPreconditionError,
     assemble_block_diagonal,
-    centralizer_dimension,
-    check_surjectivity,
     check_witness,
     class_membership,
     deform_step,
     euler_characteristic,
     is_irreducible,
     local_dimension,
+    tangent_rank,
     verify_relation,
 )
 

@@ -30,18 +30,11 @@ from .eigenvalues import (
 )
 from .exactnum import ExactNumberError, GaussianRational, format_rational, parse_rational
 from .jnf_core import ClassSpec, JnfError, JnfShape, Partition
-from .linalg import LinalgError, Matrix, commutator_operator, pivot_columns
-from .solver import (
-    UNKNOWN,
-    Verdict,
-    apply_subordinate_witness,
-    classify,
-    expected_dimension,
-)
+from .linalg import LinalgError, Matrix
+from .solver import UNKNOWN, Verdict, apply_subordinate_witness, classify
 from .special import SpecialSearchError, classify_specialness
 from .witness import (
     DeformationError,
-    DeformationRequest,
     MatrixTuple,
     WitnessError,
     WitnessMismatchError,
@@ -51,6 +44,7 @@ from .witness import (
     euler_characteristic,
     is_irreducible,
     local_dimension,
+    tangent_rank,
 )
 
 EXIT_OK = 0
@@ -274,7 +268,7 @@ def _verdict_json(verdict: Verdict):
         "dsp": verdict.dsp,
         "weak_dsp": verdict.weak_dsp,
         "kappa": verdict.rigidity.kappa,
-        "expected_dimension": verdict.expected_dimension,
+        "expected_dimension": verdict.rigidity.expected_dimension,
         "good": verdict.good.good,
         "generic": None if verdict.genericity is None else verdict.genericity.generic,
         "justification": [
@@ -421,29 +415,22 @@ def _cmd_verify(args) -> tuple[int, dict]:
     problem = _load_problem(args.problem)
     wit = _load_witness(args.witness)
     relation, memberships = check_witness(wit, problem)
-    # one elimination of the tangent map gives the centralizer dimension,
-    # the local dimension and, from the pivots among the columns of the
-    # first k - 1 matrices, surjectivity without the last matrix
-    pivots = pivot_columns(commutator_operator(wit.matrices))
-    cdim = wit.n * wit.n - len(pivots)
-    surjective = None
-    if wit.count > 1:
-        leading = (wit.count - 1) * (wit.n * wit.n - 1)
-        surjective = sum(c < leading for c in pivots) == wit.n * wit.n - 1
+    tangent = tangent_rank(wit)
+    cdim = tangent.centralizer_dimension
     irred = is_irreducible(wit)
     chi = euler_characteristic(wit)
     rigidity = rigidity_report(problem.shapes)
     kappa = rigidity.kappa
     passed = relation and all(memberships)
-    local_dim = rigidity.sum_d - len(pivots) if passed else None
-    expected = expected_dimension(problem)
+    local_dim = rigidity.sum_d - tangent.rank if passed else None
+    expected = rigidity.expected_dimension
     report = {
         "command": "verify",
         "relation": relation,
         "class_membership": memberships,
         "centralizer_dimension": cdim,
         "centralizer_trivial": cdim == 1,
-        "surjective_without_last": surjective,
+        "surjective_without_last": tangent.surjective_without_last,
         "irreducible": irred.irreducible,
         "algebra_dimension": irred.algebra_dimension,
         "euler_characteristic": chi,
@@ -460,10 +447,11 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 def _cmd_dim(args) -> tuple[int, dict]:
     problem = _load_problem(args.problem)
+    rigidity = rigidity_report(problem.shapes)
     report = {
         "command": "dim",
-        "expected_dimension": expected_dimension(problem),
-        "kappa": rigidity_report(problem.shapes).kappa,
+        "expected_dimension": rigidity.expected_dimension,
+        "kappa": rigidity.kappa,
     }
     if args.witness:
         wit = _load_witness(args.witness)
@@ -480,26 +468,23 @@ def _cmd_deform(args) -> tuple[int, dict]:
     base = _load_witness(args.base)
     # directions are drift matrices, not a tuple: they need not be invertible
     _, directions = _parse_matrices(_load_json(args.directions))
-    request = DeformationRequest(
-        base=base,
-        directions=tuple(directions),
-        epsilon=_rational(args.epsilon, "--epsilon"),
-        tolerance=_rational(args.tolerance, "--tolerance"),
-    )
-    result = deform_step(request)
+    epsilon = _rational(args.epsilon, "--epsilon")
+    tolerance = _rational(args.tolerance, "--tolerance")
+    result = deform_step(base, directions, epsilon)
+    within = result.residual <= tolerance
     doc = serialize_witness(result.deformed)
     if args.output:
         _write_json(args.output, doc)
     report = {
         "command": "deform",
-        "epsilon": format_rational(result.epsilon),
+        "epsilon": format_rational(epsilon),
         "residual": format_rational(result.residual),
-        "residual_float": result.residual_float,
+        "residual_float": float(result.residual),
         "residual_bound": None if result.bound is None else format_rational(result.bound),
-        "within_tolerance": result.within_tolerance,
+        "within_tolerance": within,
         "deformed": doc if not args.output else {"written_to": args.output},
     }
-    return (EXIT_OK if result.within_tolerance else EXIT_NEGATIVE), report
+    return (EXIT_OK if within else EXIT_NEGATIVE), report
 
 
 def _write_json(path: str, doc) -> None:

@@ -53,6 +53,12 @@ class RigidityReport:
     beta_failures: tuple[int, ...]
     omega: bool
 
+    @property
+    def expected_dimension(self) -> int:
+        """n^2 + 1 - kappa: dimension of the trivial-centralizer solution
+        variety whenever it is non-empty."""
+        return self.n * self.n + 1 - self.kappa
+
 
 def rigidity_report(shapes: tuple[JnfShape, ...]) -> RigidityReport:
     """Rigidity index kappa = 2n^2 - sum(d_j) plus the alpha/beta/omega flags."""

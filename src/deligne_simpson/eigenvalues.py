@@ -33,6 +33,8 @@ ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
 
 DEFAULT_RELATION_CAP = 10**8
+# fresh denominators tried by generate_generic before it gives up
+GENERATE_ATTEMPTS = 32
 
 
 class ProblemError(ValueError):
@@ -393,8 +395,6 @@ def _cardinality_tables(problem: TupleProblem, cap: int, fold):
             raise RelationSearchCapError(
                 f"cardinality {m} needs {total} selections, cap is {cap}"
             )
-        if total == 0:
-            continue
         split = _balanced_split(per_class)
         options = [
             _class_options(
@@ -503,7 +503,6 @@ def generate_generic(
     shapes: tuple[JnfShape, ...],
     mode: str,
     seed: int = 0,
-    attempts: int = 32,
 ) -> TupleProblem:
     """Produce a consistent, verified-generic eigenvalue assignment.
 
@@ -534,7 +533,7 @@ def generate_generic(
     prime_stream = _primes_from(n * n + 1)
     primes_pool: list[int] = []
 
-    for attempt in range(attempts):
+    for attempt in range(GENERATE_ATTEMPTS):
         offset = (seed + attempt) * len(slots)
         end = offset + max(0, len(slots) - 1)
         # extended as attempts use it: the first attempt usually succeeds
@@ -550,7 +549,7 @@ def generate_generic(
         if is_generic(problem).generic:
             return problem
     raise GenericAssignmentError(
-        f"no generic assignment found within {attempts} attempts"
+        f"no generic assignment found within {GENERATE_ATTEMPTS} attempts"
     )
 
 

@@ -88,10 +88,6 @@ class Partition:
         return True
 
 
-def conjugate_partition(p: Partition) -> Partition:
-    return p.conjugate()
-
-
 def partitions_of(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of `total` in descending lexicographic order."""
     if max_part is None:

@@ -78,18 +78,10 @@ class Verdict:
     weak_dsp: str
     justification: tuple[Rule, ...]
     rigidity: RigidityReport
-    expected_dimension: int
     good: GoodnessResult
     genericity: GenericityResult | None
     genericity_note: str | None
     specialness: SpecialnessReport | None
-
-
-def expected_dimension(problem: TupleProblem) -> int:
-    """n^2 + 1 - kappa: dimension of the trivial-centralizer solution
-    variety whenever it is non-empty."""
-    report = rigidity_report(problem.shapes)
-    return problem.n * problem.n + 1 - report.kappa
 
 
 def classify(
@@ -170,7 +162,6 @@ def classify(
         weak_dsp=weak,
         justification=tuple(rules),
         rigidity=report,
-        expected_dimension=expected_dimension(problem),
         good=goodres,
         genericity=genericity,
         genericity_note=note,
@@ -182,17 +173,16 @@ def apply_subordinate_witness(
     problem: TupleProblem,
     witness_tuple,
     witness_classes: tuple[ClassSpec, ...],
-    base_verdict: Verdict | None = None,
+    base_verdict: Verdict,
 ) -> Verdict:
-    """Strengthen a verdict with an explicit subordinate solution.
+    """Strengthen `base_verdict`, the problem's `classify` verdict, with an
+    explicit subordinate solution.
 
     Checks: rigidity index 2; each witness class subordinate to the problem
     class with at least one strictly lower; the witness satisfies the
     defining relation and realizes exactly the witness classes.  On success
     the irreducible problem is unsolvable.
     """
-    if base_verdict is None:
-        base_verdict = classify(problem)
     report = base_verdict.rigidity
     if report.kappa != 2:
         raise ProblemError(

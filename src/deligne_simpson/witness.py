@@ -24,6 +24,7 @@ from .linalg import (
     algebra_dimension,
     commutator_operator,
     inverse,
+    pivot_columns,
     rank,
     sl_element,
     solve_first,
@@ -165,26 +166,31 @@ def class_membership(matrix: Matrix, spec: ClassSpec) -> bool:
     return True
 
 
-def centralizer_dimension(t: MatrixTuple) -> int:
-    """Dimension of {X : XM_j = M_jX for all j}; 1 means trivial.
+@dataclass(frozen=True)
+class TangentRank:
+    rank: int
+    centralizer_dimension: int
+    surjective_without_last: bool | None
 
-    The centralizer is the trace-form orthogonal complement of the tangent
-    map's image, so its dimension is n^2 minus that map's rank.
+
+def tangent_rank(t: MatrixTuple) -> TangentRank:
+    """One elimination of the tangent map (X_1..X_k) -> sum of [M_j, X_j].
+
+    The centralizer {X : XM_j = M_jX for all j} is the trace-form orthogonal
+    complement of the map's image, so its dimension is n^2 minus the rank;
+    1 means trivial.  The columns of matrix j are the (n^2 - 1) trace-zero
+    inputs of X_j, so the first (k - 1)(n^2 - 1) columns are the map of the
+    first k - 1 matrices alone, and the pivots among them count its rank.
+    That sub-map is onto the trace-zero matrices (commutators land there)
+    exactly when this count is n^2 - 1; None for a single matrix.
     """
-    return t.n * t.n - rank(commutator_operator(t.matrices))
-
-
-def check_surjectivity(matrices: Sequence[Matrix]) -> bool:
-    """Is (X_1..X_p) -> sum of [M_j, X_j] onto the trace-zero matrices?
-
-    Equivalent to the p-tuple having trivial centralizer.  Inputs range over
-    a trace-zero basis; commutators land in trace-zero automatically.
-    """
-    matrices = tuple(matrices)
-    if not matrices:
-        raise WitnessError("need at least one matrix")
-    n = matrices[0].nrows
-    return rank(commutator_operator(matrices)) == n * n - 1
+    n2 = t.n * t.n
+    pivots = pivot_columns(commutator_operator(t.matrices))
+    surjective = None
+    if t.count > 1:
+        leading = (t.count - 1) * (n2 - 1)
+        surjective = sum(c < leading for c in pivots) == n2 - 1
+    return TangentRank(len(pivots), n2 - len(pivots), surjective)
 
 
 @dataclass(frozen=True)
@@ -235,7 +241,7 @@ def local_dimension(t: MatrixTuple, problem: TupleProblem) -> int:
         raise WitnessPreconditionError(
             f"matrix {memberships.index(False)} is not in its declared class"
         )
-    return sum(d_of(c.shape) for c in problem.classes) - rank(commutator_operator(t.matrices))
+    return sum(d_of(c.shape) for c in problem.classes) - tangent_rank(t).rank
 
 
 def euler_characteristic(t: MatrixTuple) -> int:
@@ -286,9 +292,18 @@ def assemble_block_diagonal(block_tuple: MatrixTuple, copies: int) -> AssemblyRe
 
 
 @dataclass(frozen=True)
-class DeformationRequest:
+class DeformationResult:
+    deformed: MatrixTuple
+    x_matrices: tuple[Matrix, ...]
+    residual: Fraction
+    bound: Fraction | None
+
+
+def deform_step(
+    base: MatrixTuple, directions: Sequence[Matrix], epsilon: Fraction
+) -> DeformationResult:
     """First-order deformation of a trivial-centralizer base tuple that
-    satisfies its relation.
+    satisfies its relation: solve the matching system and conjugate.
 
     `directions` are the per-matrix drift matrices N_j; they must satisfy
     tr(sum of L_j N_j R_j) = 0, where L_j and R_j are the products of the
@@ -296,27 +311,6 @@ class DeformationRequest:
     identities in additive mode.  At a relation point R_j L_j = M_j^-1, so
     this is the first-order determinant condition sum of tr(M_j^-1 N_j) = 0
     multiplicatively and tr(sum of N_j) = 0 additively.
-    """
-
-    base: MatrixTuple
-    directions: tuple[Matrix, ...]
-    epsilon: Fraction
-    tolerance: Fraction = Fraction(1, 10**9)
-
-
-@dataclass(frozen=True)
-class DeformationResult:
-    deformed: MatrixTuple
-    x_matrices: tuple[Matrix, ...]
-    epsilon: Fraction
-    residual: Fraction
-    residual_float: float
-    bound: Fraction | None
-    within_tolerance: bool
-
-
-def deform_step(req: DeformationRequest) -> DeformationResult:
-    """Solve the first-order matching system and conjugate.
 
     Find trace-zero X_j with sum of L_j [M_j, X_j] R_j = -sum of L_j N_j R_j,
     then return (I + eps X_j)^-1 (M_j + eps N_j) (I + eps X_j).  The defining
@@ -327,10 +321,9 @@ def deform_step(req: DeformationRequest) -> DeformationResult:
     trivial, outer factors or not, because its image is still the
     complement of the centralizer) and the solution.
     """
-    base = req.base
     n = base.n
-    eps = Fraction(req.epsilon)
-    directions = tuple(req.directions)
+    eps = Fraction(epsilon)
+    directions = tuple(directions)
     if len(directions) != base.count:
         raise DeformationError("one direction per base matrix is required")
     for d in directions:
@@ -354,10 +347,10 @@ def deform_step(req: DeformationRequest) -> DeformationResult:
     drift = Matrix.zeros(n, n)
     for j, d in enumerate(directions):
         drift = drift + (d if outer is None else outer[j][0] * d * outer[j][1])
-    coords, tangent_rank = solve_first(
+    coords, map_rank = solve_first(
         commutator_operator(base.matrices, outer), [-x for x in vec(drift)]
     )
-    if tangent_rank != n * n - 1:
+    if map_rank != n * n - 1:
         raise DeformationError("base tuple has a non-trivial centralizer")
     if drift.trace() != GR_ZERO:
         raise DeformationError("direction constraint tr(sum L_j N_j R_j) = 0 fails")
@@ -378,10 +371,7 @@ def deform_step(req: DeformationRequest) -> DeformationResult:
         target = m + d.scale(eps)
         deformed.append(conj_inv * target * conj)
 
-    residual_matrix = _relation_residual(base.mode, deformed)
-    residual = (
-        residual_matrix.norm_rowsum() if not residual_matrix.is_zero() else Fraction(0)
-    )
+    residual = _relation_residual(base.mode, deformed).norm_rowsum()
     bound = _residual_bound(base, directions, x_matrices, eps)
     try:
         deformed_tuple = MatrixTuple(base.mode, deformed)
@@ -390,19 +380,14 @@ def deform_step(req: DeformationRequest) -> DeformationResult:
     return DeformationResult(
         deformed=deformed_tuple,
         x_matrices=tuple(x_matrices),
-        epsilon=eps,
         residual=residual,
-        residual_float=float(residual),
         bound=bound,
-        within_tolerance=residual <= Fraction(req.tolerance),
     )
 
 
 def _residual_bound(base, directions, x_matrices, eps: Fraction) -> Fraction | None:
     """Exact K eps^2 style bound on the relation residual, valid while
     eps ||X_j|| < 1 for every j."""
-    if eps == 0:
-        return Fraction(0)
     abs_eps = abs(eps)
     norms = [
         (m.norm_rowsum(), d.norm_rowsum(), x.norm_rowsum())

@@ -18,14 +18,11 @@ from deligne_simpson import (
     MULTIPLICATIVE,
     SOLVABLE,
     UNSOLVABLE,
-    DeformationRequest,
     JnfShape,
     Matrix,
     MatrixTuple,
     TupleProblem,
     assemble_block_diagonal,
-    centralizer_dimension,
-    check_surjectivity,
     classify,
     classify_specialness,
     d_of,
@@ -36,6 +33,7 @@ from deligne_simpson import (
     is_generic,
     is_good,
     local_dimension,
+    tangent_rank,
 )
 from deligne_simpson.criteria import rigidity_report
 from deligne_simpson.jnf_core import partitions_of
@@ -209,11 +207,11 @@ def test_criterion_4_centralizer_surjectivity_duality():
         else:
             mode = ADDITIVE if trial % 2 else MULTIPLICATIVE
             t = random_relation_tuple(rng, n, count, mode=mode)
-        centr = centralizer_dimension(t)
-        surj = check_surjectivity(t.matrices[:-1]) if t.count > 1 else None
-        if surj is None:
-            continue
-        if (centr == 1) != surj:
+        tangent = tangent_rank(t)
+        centr = tangent.centralizer_dimension
+        # the map of the first k - 1 matrices, eliminated on its own
+        surj = rank(commutator_operator(t.matrices[:-1])) == t.n * t.n - 1
+        if tangent.surjective_without_last != surj or (centr == 1) != surj:
             ok = False
             break
         if centr == 1:
@@ -237,7 +235,7 @@ def test_criterion_5_dimension_formula(
     ):
         shapes = tuple(c.shape for c in classes)
         kappa = rigidity_report(shapes).kappa
-        if kappa != 2 or centralizer_dimension(wit) != 1:
+        if kappa != 2 or tangent_rank(wit).centralizer_dimension != 1:
             ok = False
             break
         n = wit.n
@@ -302,12 +300,8 @@ def test_criterion_7_deformation_order(rigid_n2_witness):
     threshold = Fraction(39, 10)
     for k in range(4, 11):
         eps = Fraction(1, 2**k)
-        res_full = deform_step(
-            DeformationRequest(rigid_n2_witness, directions, eps, tolerance=1.0)
-        )
-        res_half = deform_step(
-            DeformationRequest(rigid_n2_witness, directions, eps / 2, tolerance=1.0)
-        )
+        res_full = deform_step(rigid_n2_witness, directions, eps)
+        res_half = deform_step(rigid_n2_witness, directions, eps / 2)
         if res_full.residual == 0 or res_half.residual == 0:
             ok = False
             break
@@ -346,7 +340,7 @@ def test_criterion_8_block_diagonal_non_triviality(rigid_n2_witness):
     ]
     for block_tuple, copies in cases:
         res = assemble_block_diagonal(block_tuple, copies)
-        if centralizer_dimension(res.assembled) < 2:
+        if tangent_rank(res.assembled).centralizer_dimension < 2:
             ok = False
             break
         for m in res.assembled.matrices:

@@ -10,7 +10,6 @@ from deligne_simpson import (
     ClassSpec,
     JnfShape,
     Partition,
-    conjugate_partition,
     d_of,
     is_subordinate,
     partitions_of,
@@ -35,19 +34,19 @@ def test_partition_normalizes_and_validates():
 
 class TestConjugatePartition:
     def test_single_row(self):
-        assert conjugate_partition(Partition([4])) == Partition([1, 1, 1, 1])
+        assert Partition([4]).conjugate() == Partition([1, 1, 1, 1])
 
     def test_self_conjugate(self):
-        assert conjugate_partition(Partition([2, 1])) == Partition([2, 1])
+        assert Partition([2, 1]).conjugate() == Partition([2, 1])
 
     def test_staircase(self):
-        assert conjugate_partition(Partition([4, 3, 1])) == Partition([3, 2, 2, 1])
+        assert Partition([4, 3, 1]).conjugate() == Partition([3, 2, 2, 1])
 
     def test_involution_exhaustive_up_to_12(self):
         for n in range(1, 13):
             for parts in partitions_of(n):
                 p = Partition(parts)
-                assert conjugate_partition(conjugate_partition(p)) == p
+                assert p.conjugate().conjugate() == p
 
 
 class TestRankSequence:
@@ -195,8 +194,8 @@ class TestSubordination:
 @settings(max_examples=150, deadline=None)
 def test_conjugate_involution_hypothesis(parts):
     p = Partition(parts)
-    assert conjugate_partition(conjugate_partition(p)) == p
-    assert conjugate_partition(p).size == p.size
+    assert p.conjugate().conjugate() == p
+    assert p.conjugate().size == p.size
 
 
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5))

@@ -17,9 +17,9 @@ from deligne_simpson import (
     TupleProblem,
     apply_subordinate_witness,
     classify,
-    expected_dimension,
     generate_generic,
     is_good,
+    rigidity_report,
 )
 from deligne_simpson.linalg import Matrix
 from deligne_simpson.witness import MatrixTuple
@@ -33,7 +33,7 @@ class TestClassify:
         assert verdict.dsp == SOLVABLE and verdict.weak_dsp == SOLVABLE
         assert verdict.genericity.generic
         assert any(r.name == "generic-eigenvalues" for r in verdict.justification)
-        assert verdict.expected_dimension == 3
+        assert verdict.rigidity.expected_dimension == 3
 
     def test_nilpotent_triple_both_unsolvable(self, nilpotent_n2_problem):
         verdict = classify(nilpotent_n2_problem)
@@ -84,11 +84,11 @@ class TestClassify:
 
 class TestExpectedDimension:
     def test_formula(self, rigid_n2_problem, n4_special_problem):
-        assert expected_dimension(rigid_n2_problem) == 3
-        assert expected_dimension(n4_special_problem) == 15
+        assert rigidity_report(rigid_n2_problem.shapes).expected_dimension == 3
+        assert rigidity_report(n4_special_problem.shapes).expected_dimension == 15
 
     def test_kappa_zero(self, double_blocks_generic):
-        assert expected_dimension(double_blocks_generic) == 17
+        assert rigidity_report(double_blocks_generic.shapes).expected_dimension == 17
 
 
 class TestSolverProperties:
@@ -143,7 +143,7 @@ class TestSubordinateWitnessRule:
 
     def test_rule_applies(self, subordinate_setup):
         problem, sub_classes, witness = subordinate_setup
-        verdict = apply_subordinate_witness(problem, witness, sub_classes)
+        verdict = apply_subordinate_witness(problem, witness, sub_classes, classify(problem))
         assert verdict.dsp == UNSOLVABLE
         assert any(
             r.name == "subordinate-solution-obstruction" for r in verdict.justification
@@ -152,7 +152,7 @@ class TestSubordinateWitnessRule:
     def test_rule_needs_proper_subordination(self, subordinate_setup):
         problem, _, witness = subordinate_setup
         with pytest.raises(ProblemError):
-            apply_subordinate_witness(problem, witness, problem.classes)
+            apply_subordinate_witness(problem, witness, problem.classes, classify(problem))
 
     def test_rule_checks_membership(self, subordinate_setup):
         problem, sub_classes, _ = subordinate_setup
@@ -165,4 +165,4 @@ class TestSubordinateWitnessRule:
             ],
         )
         with pytest.raises(ProblemError):
-            apply_subordinate_witness(problem, bad_witness, sub_classes)
+            apply_subordinate_witness(problem, bad_witness, sub_classes, classify(problem))

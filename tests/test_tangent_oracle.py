@@ -30,14 +30,13 @@ from deligne_simpson import (
     MatrixTuple,
     Partition,
     assemble_block_diagonal,
-    centralizer_dimension,
-    check_surjectivity,
     euler_characteristic,
     local_dimension,
+    tangent_rank,
     verify_relation,
 )
 from deligne_simpson.cli import run_command, serialize_witness
-from deligne_simpson.linalg import commutator_operator, inverse, sl_basis
+from deligne_simpson.linalg import commutator_operator, inverse, rank, sl_basis
 
 from conftest import random_relation_tuple
 
@@ -184,12 +183,14 @@ def test_witness_ranks_match_sympy(label, t, values):
     n = t.n
     mats = [_sym(m) for m in t.matrices]
     orbit = [_sum_map_rank([m]) for m in mats]
-    assert centralizer_dimension(t) == _stacked_nullity(mats)
+    tangent = tangent_rank(t)
+    assert tangent.centralizer_dimension == _stacked_nullity(mats)
+    assert tangent.rank == _sum_map_rank(mats)
     assert euler_characteristic(t) == 2 * n * n - sum(orbit)
     if t.count > 1:
-        assert check_surjectivity(t.matrices[:-1]) == (
-            _sum_map_rank(mats[:-1]) == n * n - 1
-        )
+        surjective = _sum_map_rank(mats[:-1]) == n * n - 1
+        assert tangent.surjective_without_last == surjective
+        assert (rank(commutator_operator(t.matrices[:-1])) == n * n - 1) == surjective
     if values is not None:
         classes = [_class_of(m, v) for m, v in zip(t.matrices, values)]
         # 1+i has no MultiplicativeEigenvalue form, so no TupleProblem here
@@ -198,7 +199,7 @@ def test_witness_ranks_match_sympy(label, t, values):
 
 
 def test_cases_cover_both_outcomes():
-    centralizers = {centralizer_dimension(t) == 1 for _, t, _ in CASES}
+    centralizers = {tangent_rank(t).centralizer_dimension == 1 for _, t, _ in CASES}
     assert centralizers == {True, False}
     assert sum(values is not None for _, _, values in CASES) >= 30
 
@@ -265,6 +266,8 @@ def test_verify_surjectivity_without_last_matches_its_own_map(tmp_path):
         code, report = run_command(["verify", str(problem_path), str(witness_path)])
         assert code in (0, 1)
         assert report["relation"] == verify_relation(t)
-        assert report["surjective_without_last"] == check_surjectivity(t.matrices[:-1])
+        surjective = rank(commutator_operator(t.matrices[:-1])) == t.n * t.n - 1
+        assert report["surjective_without_last"] == surjective
+        assert tangent_rank(t).surjective_without_last == surjective
         differs += report["surjective_without_last"] != report["centralizer_trivial"]
     assert differs > 0

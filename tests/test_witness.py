@@ -11,7 +11,6 @@ from deligne_simpson import (
     ADDITIVE,
     MULTIPLICATIVE,
     ClassSpec,
-    DeformationRequest,
     GaussianRational,
     Matrix,
     MatrixTuple,
@@ -19,20 +18,19 @@ from deligne_simpson import (
     WitnessError,
     WitnessPreconditionError,
     assemble_block_diagonal,
-    centralizer_dimension,
-    check_surjectivity,
     class_membership,
     deform_step,
     euler_characteristic,
-    expected_dimension,
     is_irreducible,
     local_dimension,
+    tangent_rank,
     verify_relation,
 )
 from deligne_simpson import linalg, witness
 from deligne_simpson.cli import run_command
 from deligne_simpson.criteria import rigidity_report
 from deligne_simpson.exactnum import format_rational
+from deligne_simpson.linalg import commutator_operator, rank
 from deligne_simpson.witness import DeformationError, eigenvalue_as_gaussian
 
 from conftest import SAMPLES
@@ -89,24 +87,40 @@ class TestClassMembership:
 
 class TestCentralizerAndSurjectivity:
     def test_rigid_pair_trivial(self, rigid_n2_witness):
-        assert centralizer_dimension(rigid_n2_witness) == 1
+        assert tangent_rank(rigid_n2_witness).centralizer_dimension == 1
 
     def test_scalar_tuple_full(self):
         t = MatrixTuple(ADDITIVE, [Matrix.identity(2), -Matrix.identity(2)])
-        assert centralizer_dimension(t) == 4
+        assert tangent_rank(t).centralizer_dimension == 4
 
     def test_repeated_block_at_least_two(self):
         blocks = MatrixTuple(ADDITIVE, [Matrix([[0]]), Matrix([[0]]), Matrix([[0]])])
         doubled = assemble_block_diagonal(blocks, 2).assembled
-        assert centralizer_dimension(doubled) >= 2
+        assert tangent_rank(doubled).centralizer_dimension >= 2
 
     def test_surjectivity_examples(self):
+        # each list is the first k - 1 matrices of a sum-zero tuple
         e = Matrix([[0, 1], [0, 0]])
         f = Matrix([[0, 0], [1, 0]])
-        assert check_surjectivity([e, f])
         s = Matrix.identity(2)
-        assert not check_surjectivity([s, s.scale(3)])
-        assert not check_surjectivity([Matrix([[1, 0], [0, 2]])])
+        h = Matrix([[1, 0], [0, 2]])
+        for leading, onto in (([e, f], True), ([s, s.scale(3)], False), ([h], False)):
+            assert (rank(commutator_operator(leading)) == 3) == onto
+            last = -sum(leading[1:], leading[0])
+            tangent = tangent_rank(MatrixTuple(ADDITIVE, leading + [last]))
+            assert tangent.surjective_without_last == onto
+
+    def test_leading_map_is_read_without_the_last_columns(self):
+        # off the relation the full map can be onto while the first k - 1
+        # matrices' map is not
+        h = Matrix([[1, 0], [0, 2]])
+        tangent = tangent_rank(MatrixTuple(ADDITIVE, [h, Matrix([[0, 1], [0, 0]])]))
+        assert tangent.centralizer_dimension == 1
+        assert rank(commutator_operator([h])) == 2
+        assert tangent.surjective_without_last is False
+
+    def test_single_matrix_has_no_leading_map(self):
+        assert tangent_rank(MatrixTuple(ADDITIVE, [Matrix.zeros(2, 2)])).surjective_without_last is None
 
     def test_duality_on_random_relation_tuples(self):
         rng = random.Random(61)
@@ -121,8 +135,11 @@ class TestCentralizerAndSurjectivity:
                 )
             else:
                 t = random_relation_tuple(rng, n, count, mode=mode)
-            centr = centralizer_dimension(t)
-            surj = check_surjectivity(t.matrices[:-1])
+            tangent = tangent_rank(t)
+            centr = tangent.centralizer_dimension
+            # the map of the first k - 1 matrices, eliminated on its own
+            surj = rank(commutator_operator(t.matrices[:-1])) == t.n * t.n - 1
+            assert tangent.surjective_without_last == surj, t
             assert (centr == 1) == surj, t
             if centr == 1:
                 trivial += 1
@@ -150,7 +167,7 @@ class TestIrreducibility:
     def test_irreducible_implies_trivial_centralizer(self, rigid_n2_witness, rigid_n3_witness):
         for t in (rigid_n2_witness, rigid_n3_witness):
             if is_irreducible(t).irreducible:
-                assert centralizer_dimension(t) == 1
+                assert tangent_rank(t).centralizer_dimension == 1
 
 
 class TestLocalDimension:
@@ -168,10 +185,10 @@ class TestLocalDimension:
     def test_matches_expected_dimension_at_trivial_centralizer(
         self, rigid_n2_witness, rigid_n2_problem
     ):
-        assert centralizer_dimension(rigid_n2_witness) == 1
-        assert local_dimension(rigid_n2_witness, rigid_n2_problem) == expected_dimension(
-            rigid_n2_problem
-        )
+        assert tangent_rank(rigid_n2_witness).centralizer_dimension == 1
+        assert local_dimension(rigid_n2_witness, rigid_n2_problem) == rigidity_report(
+            rigid_n2_problem.shapes
+        ).expected_dimension
 
     def test_precondition_failures_raise(self, rigid_n2_witness, rigid_n2_problem):
         broken = MatrixTuple(ADDITIVE, list(rigid_n2_witness.matrices[:2]) + [Matrix.zeros(2, 2)])
@@ -214,7 +231,7 @@ class TestAssembly:
         res = assemble_block_diagonal(rigid_n2_witness, 2)
         assert res.assembled.n == 4
         assert verify_relation(res.assembled)
-        assert centralizer_dimension(res.assembled) >= 2
+        assert tangent_rank(res.assembled).centralizer_dimension >= 2
         for m in res.assembled.matrices:
             assert m * res.certificate == res.certificate * m
 
@@ -239,7 +256,7 @@ class TestAssembly:
         cert = res.certificate
         # identity block sits in block position (1, copies)
         assert cert[0, 4] == GaussianRational(1) and cert[1, 5] == GaussianRational(1)
-        assert centralizer_dimension(res.assembled) >= 2
+        assert tangent_rank(res.assembled).centralizer_dimension >= 2
 
 
 DIRECTIONS_N2 = (
@@ -252,32 +269,24 @@ DIRECTIONS_N2 = (
 class TestDeformStep:
     def test_zero_directions_leave_base(self, rigid_n2_witness):
         zero = Matrix.zeros(2, 2)
-        res = deform_step(
-            DeformationRequest(rigid_n2_witness, (zero, zero, zero), Fraction(1, 100))
-        )
+        res = deform_step(rigid_n2_witness, (zero, zero, zero), Fraction(1, 100))
         assert res.residual == 0
         assert res.deformed.matrices == rigid_n2_witness.matrices
 
     def test_zero_epsilon_leaves_base(self, rigid_n2_witness):
-        res = deform_step(
-            DeformationRequest(rigid_n2_witness, DIRECTIONS_N2, Fraction(0))
-        )
+        res = deform_step(rigid_n2_witness, DIRECTIONS_N2, Fraction(0))
         assert res.residual == 0
         assert res.deformed.matrices == rigid_n2_witness.matrices
 
     def test_quadratic_residual_with_bound(self, rigid_n2_witness):
         eps = Fraction(1, 1024)
-        res = deform_step(DeformationRequest(rigid_n2_witness, DIRECTIONS_N2, eps))
+        res = deform_step(rigid_n2_witness, DIRECTIONS_N2, eps)
         assert 0 < res.residual <= res.bound
-        assert res.residual_float < 1e-5
+        assert float(res.residual) < 1e-5
 
     def test_halving_epsilon_quarters_residual(self, rigid_n2_witness):
-        res1 = deform_step(
-            DeformationRequest(rigid_n2_witness, DIRECTIONS_N2, Fraction(1, 64))
-        )
-        res2 = deform_step(
-            DeformationRequest(rigid_n2_witness, DIRECTIONS_N2, Fraction(1, 128))
-        )
+        res1 = deform_step(rigid_n2_witness, DIRECTIONS_N2, Fraction(1, 64))
+        res2 = deform_step(rigid_n2_witness, DIRECTIONS_N2, Fraction(1, 128))
         ratio = res1.residual / res2.residual
         assert ratio >= Fraction(39, 10)
 
@@ -285,7 +294,7 @@ class TestDeformStep:
         # conjugation is exact, so the deformed matrix lies exactly in the
         # class of base + eps * direction
         eps = Fraction(1, 8)
-        res = deform_step(DeformationRequest(rigid_n2_witness, DIRECTIONS_N2, eps))
+        res = deform_step(rigid_n2_witness, DIRECTIONS_N2, eps)
         first = res.deformed.matrices[0]
         spec = ClassSpec(shape([1], [1]), [gr(eps), gr(0)])
         assert class_membership(first, spec)
@@ -293,27 +302,27 @@ class TestDeformStep:
     def test_trace_constraint_enforced(self, rigid_n2_witness):
         bad = (Matrix.identity(2), Matrix.zeros(2, 2), Matrix.zeros(2, 2))
         with pytest.raises(DeformationError, match="direction constraint"):
-            deform_step(DeformationRequest(rigid_n2_witness, bad, Fraction(1, 10)))
+            deform_step(rigid_n2_witness, bad, Fraction(1, 10))
 
     def test_multiplicative_constraint_enforced(self):
         # sum of tr(M_j^-1 N_j) = tr(M_1^-1) = 2
-        base = _pinned_deform_cases()["multiplicative_n2"].base
+        base, _, _ = _pinned_deform_cases()["multiplicative_n2"]
         bad = (Matrix.identity(2), Matrix.zeros(2, 2), Matrix.zeros(2, 2))
         with pytest.raises(DeformationError, match="direction constraint"):
-            deform_step(DeformationRequest(base, bad, Fraction(1, 10)))
+            deform_step(base, bad, Fraction(1, 10))
 
     @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
     def test_base_breaking_its_relation_rejected(self, mode):
-        req = _broken_relation_request(mode)
-        assert centralizer_dimension(req.base) == 1
+        base, directions, eps = _broken_relation_case(mode)
+        assert tangent_rank(base).centralizer_dimension == 1
         with pytest.raises(DeformationError, match="defining relation"):
-            deform_step(req)
+            deform_step(base, directions, eps)
 
     def test_nontrivial_centralizer_rejected(self):
         t = MatrixTuple(ADDITIVE, [Matrix.zeros(2, 2)] * 3)
         zero = Matrix.zeros(2, 2)
         with pytest.raises(DeformationError):
-            deform_step(DeformationRequest(t, (zero, zero, zero), Fraction(1, 10)))
+            deform_step(t, (zero, zero, zero), Fraction(1, 10))
 
     def test_multiplicative_mode_quadratic(self):
         rot = Matrix([[0, -1], [1, 0]])
@@ -323,7 +332,7 @@ class TestDeformStep:
             [Matrix.identity(2) + e, rot, Matrix([[0, 1], [-1, 1]])],
         )
         assert verify_relation(base)
-        assert centralizer_dimension(base) == 1
+        assert tangent_rank(base).centralizer_dimension == 1
         # directions with sum tr(M_j^-1 N_j) = 0
         d1 = Matrix([[1, 0], [0, 0]])
         d2 = Matrix([[0, 0], [1, 0]])
@@ -334,8 +343,8 @@ class TestDeformStep:
         for m, d in zip(base.matrices, (d1, d2, d3)):
             total = total + (inverse(m) * d).trace()
         assert total == GaussianRational(0)
-        res1 = deform_step(DeformationRequest(base, (d1, d2, d3), Fraction(1, 256)))
-        res2 = deform_step(DeformationRequest(base, (d1, d2, d3), Fraction(1, 512)))
+        res1 = deform_step(base, (d1, d2, d3), Fraction(1, 256))
+        res2 = deform_step(base, (d1, d2, d3), Fraction(1, 512))
         assert res1.residual > 0
         assert res1.residual / res2.residual >= Fraction(39, 10)
         assert res1.bound is None or res1.residual <= res1.bound
@@ -345,7 +354,7 @@ DEFORM_PINS = Path(__file__).resolve().parent / "data" / "deform_pins.json"
 
 
 def _pinned_deform_cases():
-    """Name -> DeformationRequest: additive and multiplicative bases with
+    """Name -> (base, directions, epsilon): additive and multiplicative bases with
     trivial centralizer at n = 2 and 3, directions meeting the first-order
     constraint."""
     add2 = MatrixTuple(
@@ -373,13 +382,13 @@ def _pinned_deform_cases():
         ],
     )
     return {
-        "additive_n2": DeformationRequest(add2, DIRECTIONS_N2, Fraction(1, 64)),
-        "multiplicative_n2": DeformationRequest(
+        "additive_n2": (add2, DIRECTIONS_N2, Fraction(1, 64)),
+        "multiplicative_n2": (
             mul2,
             (Matrix([[1, 0], [0, 0]]), Matrix([[0, 0], [1, 0]]), Matrix([[0, 0], [2, 0]])),
             Fraction(1, 256),
         ),
-        "additive_n3": DeformationRequest(
+        "additive_n3": (
             add3,
             (
                 Matrix([[1, 2, 0], [0, -1, 1], [1, 0, 0]]),
@@ -389,7 +398,7 @@ def _pinned_deform_cases():
             Fraction(1, 128),
         ),
         # sum of tr(M_j^-1 N_j) = 0
-        "multiplicative_n3": DeformationRequest(
+        "multiplicative_n3": (
             mul3,
             (
                 Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
@@ -401,13 +410,12 @@ def _pinned_deform_cases():
     }
 
 
-def _broken_relation_request(mode) -> DeformationRequest:
-    """The n = 2 pinned request of `mode` with its base's last matrix
+def _broken_relation_case(mode):
+    """The n = 2 pinned case of `mode` with its base's last matrix
     changed: the centralizer stays trivial, the relation fails."""
-    req = _pinned_deform_cases()[f"{mode}_n2"]
+    base, directions, eps = _pinned_deform_cases()[f"{mode}_n2"]
     last = {ADDITIVE: Matrix([[1, -1], [-1, 0]]), MULTIPLICATIVE: Matrix([[0, 1], [-1, 2]])}
-    base = MatrixTuple(mode, req.base.matrices[:-1] + (last[mode],))
-    return DeformationRequest(base, req.directions, req.epsilon)
+    return MatrixTuple(mode, base.matrices[:-1] + (last[mode],)), directions, eps
 
 
 def _render_deform(res) -> dict:
@@ -429,15 +437,16 @@ class TestDeformPinned:
     @pytest.mark.parametrize("case", sorted(_pinned_deform_cases()))
     def test_deform_step_is_pinned(self, case):
         pins = json.loads(DEFORM_PINS.read_text())
-        assert _render_deform(deform_step(_pinned_deform_cases()[case])) == pins[case]
+        assert _render_deform(deform_step(*_pinned_deform_cases()[case])) == pins[case]
 
     def test_every_pin_has_a_case(self):
         assert sorted(json.loads(DEFORM_PINS.read_text())) == sorted(_pinned_deform_cases())
 
 
 class TestOneTangentElimination:
-    """`deform_step` and `dsp verify` each eliminate their n^2-row tangent
-    map once; `deform_step` inverts only the k conjugating matrices."""
+    """`deform_step`, `dsp verify` and `dsp dim --witness` each eliminate
+    their n^2-row tangent map once; `deform_step` inverts only the k
+    conjugating matrices."""
 
     @staticmethod
     def _tangent_eliminations(monkeypatch, n, width, call) -> int:
@@ -456,8 +465,8 @@ class TestOneTangentElimination:
 
     @pytest.mark.parametrize("case", sorted(_pinned_deform_cases()))
     def test_deform_step(self, monkeypatch, case):
-        req = _pinned_deform_cases()[case]
-        n, k = req.base.n, req.base.count
+        base, directions, eps = _pinned_deform_cases()[case]
+        n, k = base.n, base.count
         inverted = []
 
         def counting_inverse(m):
@@ -466,7 +475,7 @@ class TestOneTangentElimination:
 
         monkeypatch.setattr(witness, "inverse", counting_inverse)
         width = k * (n * n - 1)
-        assert self._tangent_eliminations(monkeypatch, n, width, lambda: deform_step(req)) == 1
+        assert self._tangent_eliminations(monkeypatch, n, width, lambda: deform_step(base, directions, eps)) == 1
         assert len(inverted) == k
 
     @pytest.mark.parametrize("name,n", [("rigid_n2", 2), ("rigid_n3", 3)])
@@ -476,3 +485,9 @@ class TestOneTangentElimination:
         # without the last matrix would eliminate on its own
         width = 2 * (n * n - 1)
         assert self._tangent_eliminations(monkeypatch, n, width, lambda: run_command(argv)) == 1
+
+    @pytest.mark.parametrize("name,n", [("rigid_n2", 2), ("rigid_n3", 3)])
+    def test_dim_witness(self, monkeypatch, name, n):
+        argv = ["dim", str(SAMPLES / f"{name}_problem.json"), "--witness", str(SAMPLES / f"{name}_witness.json")]
+        # any n^2-row elimination counts, whatever its width
+        assert self._tangent_eliminations(monkeypatch, n, 0, lambda: run_command(argv)) == 1
