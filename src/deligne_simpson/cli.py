@@ -155,7 +155,8 @@ def parse_problem(doc) -> TupleProblem:
 
 def _value_to_json(value):
     if isinstance(value, GaussianRational):
-        return {"re": format_rational(value.re), "im": format_rational(value.im)}
+        re, im = value.format_parts()
+        return {"re": re, "im": im}
     if isinstance(value, MultiplicativeEigenvalue):
         return {
             "angle": format_rational(value.angle),
@@ -536,7 +537,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generic", help="genericity of the eigenvalue data")
     add_common(p, relation_cap=True)
     p.add_argument("--generate", action="store_true",
-                   help="generate a verified-generic assignment for the problem's shapes")
+                   help="generate an assignment for the problem's shapes that is "
+                   "certified generic by construction (prime denominators above n^2)")
     p.add_argument("--seed", type=int, default=0, help="generation seed")
     p.add_argument("--output", help="write the generated problem document here")
     p.set_defaults(func=_cmd_generic)

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 
 from .exactnum import GR_ZERO, GaussianRational, format_rational
 from .jnf_core import ClassSpec, JnfError, JnfShape
@@ -35,6 +36,8 @@ MULTIPLICATIVE = "multiplicative"
 DEFAULT_RELATION_CAP = 10**8
 # fresh denominators tried by generate_generic before it gives up
 GENERATE_ATTEMPTS = 32
+# integers per window of the segmented prime sieve `_primes_from`
+_SIEVE_WIDTH = 1 << 13
 
 
 class ProblemError(ValueError):
@@ -491,12 +494,41 @@ def reduced_multiplicity_product(problem: TupleProblem, divisor: int) -> Reduced
 # -- generation ---------------------------------------------------------------
 
 
+def _primes_upto(limit: int) -> list[int]:
+    """The primes <= limit (>= 1), by a plain sieve of Eratosthenes."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), flags))
+
+
 def _primes_from(start: int):
-    candidate = max(2, start)
+    """The primes >= start in increasing order, by a segmented sieve of
+    Eratosthenes over the windows [w * W, (w + 1) * W) with W =
+    _SIEVE_WIDTH.  Each window is crossed out by the primes up to the
+    square root of its end, starting at p * p, so it holds O(W + sqrt(q))
+    bytes near q: generation above n^2 never allocates O(n^2)."""
+    start = max(2, start)
+    lo = start - start % _SIEVE_WIDTH
+    base_limit, base = 1, []
     while True:
-        if all(candidate % p for p in range(2, int(candidate**0.5) + 1)):
-            yield candidate
-        candidate += 1
+        hi = lo + _SIEVE_WIDTH
+        root = math.isqrt(hi - 1)
+        if root > base_limit:
+            base_limit = 2 * root
+            base = _primes_upto(base_limit)
+        flags = bytearray([1]) * _SIEVE_WIDTH
+        skip = max(0, start - lo)
+        flags[:skip] = bytes(skip)
+        for p in base:
+            if p > root:
+                break
+            first = max(p * p, -(-lo // p) * p) - lo
+            flags[first::p] = bytes(len(range(first, _SIEVE_WIDTH, p)))
+        yield from compress(range(lo, hi), flags)
+        lo = hi
 
 
 def generate_generic(
@@ -504,13 +536,15 @@ def generate_generic(
     mode: str,
     seed: int = 0,
 ) -> TupleProblem:
-    """Produce a consistent, verified-generic eigenvalue assignment.
+    """Produce a consistent, certified-generic eigenvalue assignment.
 
     Strategy: all but one slot get values with large pairwise-distinct prime
-    denominators, the last slot absorbs the consistency constraint, and the
-    result is checked with the exhaustive search (generation never trusts
-    itself).  In additive mode no generic assignment exists when a common
-    divisor > 1 divides every multiplicity; that is reported as an error.
+    denominators, the last slot absorbs the consistency constraint, and
+    `_certify_generic` proves the result generic from the assembled problem
+    (a refused certificate is an internal error, never a silent retry).  The
+    exhaustive search is left to user documents.  In additive mode no
+    generic assignment exists when a common divisor > 1 divides every
+    multiplicity; that is reported as an error.
     """
     shapes = tuple(shapes)
     if not shapes:
@@ -546,11 +580,83 @@ def generate_generic(
             continue
         if not check_consistency(problem):
             raise GenericAssignmentError("internal: generated assignment inconsistent")
-        if is_generic(problem).generic:
-            return problem
+        _certify_generic(problem)
+        return problem
     raise GenericAssignmentError(
-        f"no generic assignment found within {GENERATE_ATTEMPTS} attempts"
+        f"no collision-free assignment found within {GENERATE_ATTEMPTS} attempts"
     )
+
+
+def _certify_generic(problem: TupleProblem) -> None:
+    """Prove a prime-denominator assignment generic, or raise
+    GenericAssignmentError.
+
+    Number the slots s (class, label) in order, with multiplicities mu_s
+    and values v_s; "last" is the last slot.  Hypotheses, each checked
+    exactly here:
+      (a) every slot s but the last holds 1/q_s: additively as the value,
+          multiplicatively as the angle, with magnitude 1;
+      (b) the q_s are pairwise coprime and each is > n^2;
+      (c) with k = mu_last * v_last + sum_s mu_s / q_s (v_last the last
+          value, resp. its angle): additively k = 0 and the gcd of all
+          multiplicities is 1; multiplicatively k is an integer with
+          gcd(k, mu_last) = 1.
+
+    Proof.  A relation at 0 < m < n takes t_s copies of slot s, 0 <= t_s <=
+    mu_s, m per class, with sum_s t_s v_s = 0 (additively), resp. sum_s
+    t_s angle_s = z in Z (multiplicatively; the angles alone already rule
+    it out).  Substitute v_last = (k - sum_s mu_s / q_s) / mu_last and
+    multiply by mu_last:
+
+        sum_{s < last} c_s / q_s = N,  c_s = mu_last t_s - t_last mu_s,
+
+    with N = -t_last k, resp. mu_last z - t_last k, an integer.  Multiply
+    by Q = prod q_s: modulo q_s every other term vanishes and Q / q_s is a
+    unit by (b), so q_s | c_s.  Both mu_last t_s and t_last mu_s lie in
+    [0, n^2], so |c_s| <= n^2 < q_s and c_s = 0: t = (t_last / mu_last) mu,
+    and as each class's multiplicities sum to n, m = n t_last / mu_last.
+    Additively every t_s = m mu_s / n is an integer, so n / gcd(m, n) > 1
+    divides every mu_s, against (c).  Multiplicatively c_s = 0 leaves N =
+    0, so mu_last | t_last k, and gcd(k, mu_last) = 1 gives t_last in {0,
+    mu_last}, that is m in {0, n}.  Either way no relation exists.
+    """
+    n = problem.n
+    slots = [
+        (mu, v)
+        for c in problem.classes
+        for mu, v in zip(c.shape.multiplicities(), c.values)
+    ]
+    *head, (mu_last, last) = slots
+    additive = problem.mode == ADDITIVE
+    k = Fraction(0)
+    seen = 1
+    for mu, v in head:
+        if additive:
+            part, other = v.re, v.im
+        else:
+            part, other = v.angle, v.magnitude - 1
+        q = part.denominator
+        if other or part.numerator != 1:
+            raise GenericAssignmentError(f"internal: slot value {v} is not 1/q")
+        if q <= n * n or math.gcd(q, seen) != 1:
+            raise GenericAssignmentError(
+                f"internal: denominator {q} is not > {n * n} and coprime to the others"
+            )
+        seen *= q
+        k += Fraction(mu, q)
+    if additive:
+        k = last * mu_last + k
+        if k or reduce(math.gcd, (mu for mu, _ in slots)) != 1:
+            raise GenericAssignmentError(
+                "internal: additive assignment inconsistent or multiplicities share a divisor"
+            )
+    else:
+        k += last.angle * mu_last
+        if k.denominator != 1 or math.gcd(k.numerator, mu_last) != 1:
+            raise GenericAssignmentError(
+                f"internal: absorbing value {format_rational(k)} is not an integer "
+                f"coprime to {mu_last}"
+            )
 
 
 def _assemble_assignment(shapes, mode, slots, qs) -> TupleProblem:

@@ -151,6 +151,12 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self
 
+    def format_parts(self) -> tuple[str, str]:
+        """The real and imaginary parts as "p/q" (or "p") in lowest terms,
+        formatted from the triple without building Fractions."""
+        a, b, d = self._t
+        return _format_ratio(a, d), _format_ratio(b, d)
+
     def l1(self) -> Fraction:
         """|re| + |im|; submultiplicative magnitude proxy used for norms."""
         a, b, d = self._t

@@ -25,8 +25,10 @@ from deligne_simpson import (
     reduced_multiplicity_product,
 )
 from deligne_simpson.eigenvalues import (
+    _SIEVE_WIDTH,
     MULT_ONE,
     _assemble_assignment,
+    _certify_generic,
     _primes_from,
     _selection_vectors,
     find_first_relation,
@@ -561,6 +563,124 @@ class TestLazyPrimePool:
             parts = [v.re if mode == ADDITIVE else v.angle for v in values]
             expected = _primes_above(n * n, (seed + 1) * slots)[seed * slots :][: slots - 1]
             assert parts == [Fraction(1, q) for q in expected]
+
+
+class TestPrimeSieve:
+    @pytest.mark.parametrize("start", [0, 1, 2])
+    def test_small_starts_match_trial_division(self, start):
+        primes = _primes_from(start)
+        assert [next(primes) for _ in range(3000)] == _primes_above(start - 1, 3000)
+
+    def test_starts_above_n_squared_match_trial_division(self):
+        for n in range(2, 41):
+            primes = _primes_from(n * n + 1)
+            assert [next(primes) for _ in range(100)] == _primes_above(n * n, 100)
+
+    def test_crossing_a_window_boundary(self):
+        start = 123 * _SIEVE_WIDTH - 3
+        primes = _primes_from(start)
+        # about 590 primes per window here: the run crosses two boundaries
+        assert [next(primes) for _ in range(1500)] == _primes_above(start - 1, 1500)
+
+    def test_large_start_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        primes = _primes_from(10**12)
+        expected, q = [], 10**12 - 1
+        for _ in range(20):
+            q = sympy.nextprime(q)
+            expected.append(q)
+        assert [next(primes) for _ in range(20)] == expected
+
+
+def _prime_form(shapes, mode, qs, k=0):
+    """Slot s < last holds 1/q_s (the value, resp. the angle) and the last
+    value is (k - sum_s mu_s / q_s) / mu_last, so the problem is consistent
+    (additively for k = 0) whatever the q_s."""
+    mults = [mu for s in shapes for mu in s.multiplicities()]
+    head = sum(Fraction(mu, q) for mu, q in zip(mults, qs))
+    parts = [Fraction(1, q) for q in qs] + [(k - head) / mults[-1]]
+    values = iter([gr(x) if mode == ADDITIVE else me(x) for x in parts])
+    classes = [ClassSpec(s, [next(values) for _ in range(s.label_count)]) for s in shapes]
+    return TupleProblem(mode, shapes[0].n, classes)
+
+
+def _semisimple_family(n):
+    """Four classes, each with (n - 2) / 2 labels of multiplicity 2 and two
+    simple labels."""
+    return (shape(*([[1, 1]] * ((n - 2) // 2) + [[1], [1]])),) * 4
+
+
+class TestGenerationCertificate:
+    """`generate_generic` proves its output generic by `_certify_generic`
+    instead of searching it; the exhaustive search is the oracle here."""
+
+    def test_generated_assignments_pass_the_exhaustive_search(self):
+        rng = random.Random(14)
+        built = 0
+        while built < 2000:
+            n = rng.randint(2, 9)
+            shapes = random_shape_tuple(rng, n, rng.randint(2, 4))
+            mode = (ADDITIVE, MULTIPLICATIVE)[built % 2]
+            mults = [mu for s in shapes for mu in s.multiplicities()]
+            if mode == ADDITIVE and math.gcd(*mults) > 1:
+                continue
+            problem = generate_generic(shapes, mode, seed=rng.randint(0, 9))
+            assert check_consistency(problem)
+            assert is_generic(problem).generic
+            built += 1
+
+    # name -> (mode, shapes, denominators of every slot but the last, k);
+    # each breaks one hypothesis of the certificate and has a relation
+    REFUSED = {
+        "denominator not above n^2": (
+            MULTIPLICATIVE, (shape([2], [3]), shape([5])), (3, 2), 3,
+        ),
+        "repeated denominators": (
+            ADDITIVE, (shape([1], [1]), shape([1], [1]), shape([1, 1])), (5, 7, 5, 7), 0,
+        ),
+        "one repeated denominator in every class": (
+            MULTIPLICATIVE, (shape([1], [1]),) * 5, (5, 7, 5, 11, 5, 13, 5, 17, 5), 3,
+        ),
+        "k shares a divisor with mu_last": (
+            MULTIPLICATIVE, (shape([2]), shape([1, 1])), (5,), 2,
+        ),
+        "multiplicities share a divisor": (
+            ADDITIVE, (shape([2]), shape([1, 1])), (5,), 0,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_broken_hypothesis_is_refused(self, name):
+        mode, shapes, qs, k = self.REFUSED[name]
+        problem = _prime_form(shapes, mode, qs, k)
+        assert check_consistency(problem)
+        assert not is_generic(problem).generic
+        with pytest.raises(GenericAssignmentError):
+            _certify_generic(problem)
+
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    def test_slot_value_not_one_over_q_is_refused(self, mode):
+        shapes = (shape([1], [1]),) * 3
+        problem = generate_generic(shapes, mode)
+        classes = list(problem.classes)
+        v = classes[0].values[0]
+        changed = gr(2 * v.re) if mode == ADDITIVE else me(v.angle, 2)
+        classes[0] = ClassSpec(classes[0].shape, (changed,) + classes[0].values[1:])
+        with pytest.raises(GenericAssignmentError):
+            _certify_generic(TupleProblem(mode, problem.n, classes))
+
+    @pytest.mark.parametrize("n", [12, 14, 16])
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    def test_semisimple_family_generates_past_the_search_cap(self, n, mode):
+        problem = generate_generic(_semisimple_family(n), mode)
+        assert check_consistency(problem)
+        _certify_generic(problem)
+        assert problem.shapes == _semisimple_family(n)
+
+    def test_cap_no_longer_stops_generation(self):
+        problem = generate_generic(_semisimple_family(12), ADDITIVE)
+        with pytest.raises(RelationSearchCapError):
+            is_generic(problem)
 
 
 class TestReducibleNeedsNonGeneric:

@@ -1,6 +1,7 @@
 """Hostile documents and flags end in exit 2 with a JSON error on stdout:
-no traceback, no hang and no huge allocation.  Each case runs the console
-entry point as a separate process under a timeout."""
+no traceback, no hang and no huge allocation; a valid document of huge n
+is answered in time.  Each case runs the console entry point as a separate
+process under a timeout."""
 
 from __future__ import annotations
 
@@ -92,16 +93,35 @@ def test_hostile_input_is_exit_two(tmp_path, name):
         else:
             path.write_text(content)
     argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "deligne_simpson.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=TIMEOUT_S,
-        env=env,
-    )
+    proc = _run_dsp(argv, TIMEOUT_S)
     assert proc.stderr == ""
     assert proc.returncode == 2
     assert expected in json.loads(proc.stdout)["error"]
+
+
+def _run_dsp(argv, timeout):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    return subprocess.run(
+        [sys.executable, "-m", "deligne_simpson.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+    )
+
+
+def test_generate_at_huge_n_is_certified_not_searched(tmp_path):
+    # three classes with labels of multiplicity n - 1 and 1: the relation
+    # search walks all n // 2 cardinalities, generation needs none of them
+    n = 20000
+    eigenvalues = [{"value": {"re": "1"}, "multiplicity": n - 1, "blocks": [n - 1]},
+                   {"value": {"re": str(1 - n)}, "multiplicity": 1, "blocks": [1]}]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"mode": "additive", "n": n,
+                                "classes": [{"eigenvalues": eigenvalues}] * 3}))
+    proc = _run_dsp(["generic", str(path), "--generate"], 10)
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["generated"] is True and report["problem"]["n"] == n
