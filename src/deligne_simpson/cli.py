@@ -85,9 +85,10 @@ def _parse_value(doc, mode: str, path: str):
             path,
             'additive values use {"re": "p/q", "im": "p/q"}',
         )
-        return GaussianRational(
-            _rational(doc["re"], path), _rational(doc.get("im", "0"), path)
-        )
+        try:
+            return GaussianRational(doc["re"], doc.get("im", "0"))
+        except ExactNumberError as exc:
+            raise CliInputError(f"{path}: {exc}") from exc
     _expect(
         set(doc) <= {"angle", "magnitude"} and "angle" in doc,
         path,
@@ -210,9 +211,10 @@ def _parse_matrices(doc) -> tuple[str, list[Matrix]]:
                 f"must be a list of {n} entries",
             )
             rows.append(
-                [_parse_value(e, ADDITIVE, f"{mpath}[{i}][{k}]") for k, e in enumerate(rdoc)]
+                tuple(_parse_value(e, ADDITIVE, f"{mpath}[{i}][{k}]") for k, e in enumerate(rdoc))
             )
-        matrices.append(Matrix(rows))
+        # n rows of n Gaussian rationals each, checked above
+        matrices.append(Matrix._of(tuple(rows)))
     return mode, matrices
 
 
@@ -376,6 +378,8 @@ def _cmd_good(args) -> tuple[int, dict]:
 
 
 def _cmd_generic(args) -> tuple[int, dict]:
+    if args.generate and args.seed < 0:
+        raise CliInputError("--seed: must be a non-negative integer")
     problem = _load_problem(args.problem)
     if args.generate:
         try:
@@ -418,7 +422,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
     relation, memberships = check_witness(wit, problem)
     tangent = tangent_rank(wit)
     cdim = tangent.centralizer_dimension
-    irred = is_irreducible(wit)
+    irred = is_irreducible(wit, relation)
     chi = euler_characteristic(wit)
     rigidity = rigidity_report(problem.shapes)
     kappa = rigidity.kappa
@@ -539,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generate", action="store_true",
                    help="generate an assignment for the problem's shapes that is "
                    "certified generic by construction (prime denominators above n^2)")
-    p.add_argument("--seed", type=int, default=0, help="generation seed")
+    p.add_argument("--seed", type=int, default=0, help="generation seed, a non-negative integer")
     p.add_argument("--output", help="write the generated problem document here")
     p.set_defaults(func=_cmd_generic)
 

@@ -549,6 +549,8 @@ def generate_generic(
     shapes = tuple(shapes)
     if not shapes:
         raise ProblemError("need at least one shape")
+    if seed < 0:
+        raise ProblemError(f"seed must be a non-negative integer, got {seed}")
     n = shapes[0].n
     slots = [
         (j, l, s.multiplicity(l))

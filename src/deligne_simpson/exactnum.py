@@ -19,8 +19,12 @@ class ExactNumberError(ValueError):
 
 
 # p/q, an integer, or a decimal such as 1.5 or 1e-3; the exponent is
-# capped at 3 digits so that no text can make Fraction build a huge integer
-_RATIONAL = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]{1,3})?)")
+# capped at 3 digits so that no text can make Fraction build a huge integer.
+# The groups give p/q and integers as (sign, num, den) and (sign, int).
+_RATIONAL = re.compile(
+    r"(?P<sign>[+-]?)(?:(?P<num>[0-9]+)/(?P<den>[0-9]+)|(?P<int>[0-9]+)"
+    r"|(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]{1,3})?)"
+)
 
 
 def parse_rational(text) -> Fraction:
@@ -42,6 +46,26 @@ def parse_rational(text) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ExactNumberError(f"malformed rational {text!r}: {exc}") from exc
+
+
+def _ratio(text) -> tuple[int, int]:
+    """(p, q) with q > 0 and p/q the value of parse_rational(text), not
+    necessarily in lowest terms.  Integers and p/q texts are read off the
+    grammar's groups without a Fraction; anything else, and every error,
+    goes through parse_rational."""
+    if isinstance(text, str):
+        m = _RATIONAL.fullmatch(text.strip())
+        if m is not None and (m["int"] or m["den"]):
+            try:
+                p, q = int(m["int"] or m["num"]), int(m["den"] or 1)
+            except ValueError:  # past int's digit limit
+                q = 0
+            if q:
+                return (-p if m["sign"] == "-" else p), q
+    elif isinstance(text, int) and not isinstance(text, bool):
+        return text, 1
+    x = parse_rational(text)
+    return x.numerator, x.denominator
 
 
 def format_rational(x: Fraction) -> str:
@@ -67,12 +91,11 @@ class GaussianRational:
     __slots__ = ("_t",)
 
     def __init__(self, re=0, im=0):
-        re = parse_rational(re)
-        im = parse_rational(im)
-        p, q = re.denominator, im.denominator
-        d = p * q // gcd(p, q)
-        # both parts are in lowest terms, so gcd(a, b, d) is already 1
-        _set(self, (re.numerator * (d // p), im.numerator * (d // q), d))
+        a, p = _ratio(re)
+        b, q = _ratio(im)
+        a, b, d = a * q, b * p, p * q
+        g = gcd(a, b, d)
+        _set(self, (a // g, b // g, d // g))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -197,6 +220,24 @@ def as_gaussian(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
     return GaussianRational(x)
+
+
+def residue_map(p: int, s: int):
+    """The ring homomorphism (a + b*i)/d -> (a + b*s) * d^-1 mod p, for a
+    prime p and s^2 = -1 mod p, as a function on Gaussian rationals that
+    returns None when p divides d.  Each distinct d is inverted once."""
+    inverses: dict[int, int] = {}
+
+    def residue(x: GaussianRational) -> int | None:
+        a, b, d = x._t
+        inv = inverses.get(d)
+        if inv is None:
+            if not d % p:
+                return None
+            inv = inverses[d] = pow(d, -1, p)
+        return (a + b * s) * inv % p
+
+    return residue
 
 
 GR_ZERO = GaussianRational(0)

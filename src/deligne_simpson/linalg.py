@@ -22,15 +22,32 @@ M[r][r] - M[s][s] is its one computed entry.  With outer factors,
 L [M, E_rs] R = (LM) E_rs R - L E_rs (MR) costs one product per pair of
 nonzero entries.  Each image is held as its support {position: entry},
 so a diagonal column E_ii - E_(i+1)(i+1) differences two supports.
+
+A full-rank fact is first certified modulo one fixed prime PRIME = 1 (mod
+4), with i mapped to ROOT, a square root of -1 mod PRIME.  The map
+(a + b*i)/d -> (a + b*ROOT) * d^-1 mod PRIME is a ring homomorphism on the
+Gaussian rationals whose d is prime to PRIME, so every minor of a matrix
+over them reduces to the same minor of the reduced matrix: the rank mod
+PRIME never exceeds the rank over Q(i).  A rank mod PRIME that reaches a
+bound proven over Q(i) therefore proves the rank equal to it.  The
+residues run through the same placement code as the exact map and through
+`_add_residue_row`, `_add_row` mod PRIME with each stored row scaled to
+pivot 1; a shortfall, or a denominator divisible by PRIME, leaves the fact
+to the exact kernel.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
-from .exactnum import GR_ONE, GR_ZERO, GaussianRational, as_gaussian
+from .exactnum import GR_ONE, GR_ZERO, GaussianRational, as_gaussian, residue_map
+
+# the modular certificate's prime, = 1 (mod 4), and a square root of -1 mod it
+PRIME = 1073741789
+ROOT = 140687844
 
 
 class LinalgError(ValueError):
@@ -260,6 +277,25 @@ def inverse(matrix: Matrix) -> Matrix:
     return Matrix._of(tuple(map(tuple, _back_substitute(pivots, n, n))))
 
 
+def _add_residue_row(pivots: dict[int, list[tuple[int, int]]], row: list[int]) -> bool:
+    """`_add_row` mod PRIME.  The row holds any integers, read mod PRIME;
+    a stored row keeps only its entries right of the pivot column, as
+    (column, entry) pairs scaled so that the pivot entry is 1."""
+    width = len(row)
+    for c in range(width):
+        x = row[c] % PRIME
+        if not x:
+            continue
+        tail = pivots.get(c)
+        if tail is None:
+            inv = pow(x, -1, PRIME)
+            pivots[c] = [(j, y * inv % PRIME) for j in range(c + 1, width) if (y := row[j] % PRIME)]
+            return True
+        for j, y in tail:
+            row[j] -= x * y
+    return False
+
+
 def algebra_dimension(matrices: Sequence[Matrix]) -> int:
     """Dimension of the unital algebra generated by the square matrices.
 
@@ -268,16 +304,67 @@ def algebra_dimension(matrices: Sequence[Matrix]) -> int:
     span does not depend on the order, and short words keep entries small.
     """
     n = matrices[0].nrows
-    pivots: dict[int, list[GaussianRational]] = {}
-    queue = deque([Matrix.identity(n)])
-    _add_row(pivots, list(vec(queue[0])))
-    while queue and len(pivots) < n * n:
+    return _closure(matrices, Matrix.identity(n), Matrix.__mul__, lambda m: list(vec(m)), _add_row)
+
+
+def _closure(gens, one, product, flat, add_row) -> int:
+    """The rank of the words in `gens`, closed breadth first from `one`
+    with `product` and eliminated with `add_row` on `flat` copies, up to
+    the full n^2."""
+    pivots: dict = {}
+    queue = deque([one])
+    first = flat(one)
+    full = len(first)
+    add_row(pivots, first)
+    while queue and len(pivots) < full:
         m = queue.popleft()
-        for g in matrices:
-            p = g * m
-            if _add_row(pivots, list(vec(p))):
+        for g in gens:
+            p = product(g, m)
+            if add_row(pivots, flat(p)):
                 queue.append(p)
     return len(pivots)
+
+
+def _residues(matrices: Sequence[Matrix]) -> list[tuple[tuple[int, ...], ...]] | None:
+    """Each matrix's rows reduced mod PRIME, or None when PRIME divides a
+    denominator."""
+    residue = residue_map(PRIME, ROOT)
+    out = []
+    for m in matrices:
+        rows = tuple(tuple(map(residue, row)) for row in m.rows)
+        if any(None in row for row in rows):
+            return None
+        out.append(rows)
+    return out
+
+
+def _residue_tangent_rank(residues, bound: int) -> int:
+    """The rank mod PRIME of the tangent map of the reduced matrices, its
+    columns eliminated in order until the rank reaches `bound`."""
+    n = len(residues[0])
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    for rows in residues:
+        for v in _supports(_placed(rows, n), n):
+            if len(pivots) == bound:
+                return bound
+            column = [0] * (n * n)
+            for p, x in v.items():
+                column[p] = x
+            _add_residue_row(pivots, column)
+    return len(pivots)
+
+
+def _residue_algebra_dimension(residues) -> int:
+    """`algebra_dimension` of the reduced matrices, mod PRIME."""
+    n = len(residues[0])
+    one = tuple(tuple(int(r == s) for s in range(n)) for r in range(n))
+    return _closure(residues, one, _residue_product, lambda m: [x for row in m for x in row], _add_residue_row)
+
+
+def _residue_product(a, b):
+    """The product mod PRIME of two reduced matrices."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % PRIME for col in cols) for row in a)
 
 
 def vec(matrix: Matrix) -> tuple[GaussianRational, ...]:
@@ -332,12 +419,8 @@ def commutator_operator(
         return Matrix.zeros(1, 1)
     columns: list[list[GaussianRational]] = []
     for j, m in enumerate(matrices):
-        image = _placed(m, n) if outer is None else _multiplied(m, *outer[j], n)
-        diagonal = [image(i, i) for i in range(n)]
-        for step, nxt in zip(diagonal, diagonal[1:]):
-            for p, x in nxt.items():
-                step[p] = step[p] - x if p in step else -x
-        for v in [image(r, s) for r in range(n) for s in range(n) if r != s] + diagonal[:-1]:
+        image = _placed(m.rows, n) if outer is None else _multiplied(m, *outer[j], n)
+        for v in _supports(image, n):
             column = [GR_ZERO] * (n * n)
             for p, x in v.items():
                 column[p] = x
@@ -345,14 +428,25 @@ def commutator_operator(
     return Matrix._of(tuple(zip(*columns)))
 
 
-def _placed(m: Matrix, n: int):
-    cols = _nonzero(zip(*m.rows))
-    neg_rows = [[(b, -y) for b, y in row] for row in _nonzero(m.rows)]
+def _supports(image, n: int) -> list[dict]:
+    """The supports of image(b) for b in sl_basis(n), in order."""
+    diagonal = [image(i, i) for i in range(n)]
+    for step, nxt in zip(diagonal, diagonal[1:]):
+        for p, x in nxt.items():
+            step[p] = step[p] - x if p in step else -x
+    return [image(r, s) for r in range(n) for s in range(n) if r != s] + diagonal[:-1]
 
-    def image(r: int, s: int) -> dict[int, GaussianRational]:
+
+def _placed(rows, n: int):
+    """image(r, s), the support of [M, E_rs] for the matrix with these rows;
+    the entries may be Gaussian rationals or residues."""
+    cols = _nonzero(zip(*rows))
+    neg_rows = [[(b, -y) for b, y in row] for row in _nonzero(rows)]
+
+    def image(r: int, s: int) -> dict:
         v = {a * n + s: x for a, x in cols[r]}
         v.update((r * n + b, y) for b, y in neg_rows[s])
-        v[r * n + s] = m.rows[r][r] - m.rows[s][s]
+        v[r * n + s] = rows[r][r] - rows[s][s]
         return v
 
     return image
@@ -373,6 +467,6 @@ def _multiplied(m: Matrix, left: Matrix, right: Matrix, n: int):
     return image
 
 
-def _nonzero(lines) -> list[list[tuple[int, GaussianRational]]]:
+def _nonzero(lines) -> list[list[tuple[int, object]]]:
     """Per line, the (position, entry) pairs of its nonzero entries."""
     return [[(i, x) for i, x in enumerate(line) if x] for line in lines]

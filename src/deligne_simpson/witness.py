@@ -21,6 +21,9 @@ from .jnf_core import ClassSpec, d_of, rank_sequence
 from .linalg import (
     Matrix,
     SingularMatrixError,
+    _residue_algebra_dimension,
+    _residue_tangent_rank,
+    _residues,
     algebra_dimension,
     commutator_operator,
     inverse,
@@ -55,7 +58,7 @@ class MatrixTuple:
     checked eagerly at construction.
     """
 
-    __slots__ = ("mode", "matrices")
+    __slots__ = ("mode", "matrices", "_residues")
 
     def __init__(self, mode: str, matrices: Sequence[Matrix]):
         matrices = tuple(matrices)
@@ -86,6 +89,16 @@ class MatrixTuple:
     @property
     def count(self) -> int:
         return len(self.matrices)
+
+    @property
+    def residues(self):
+        """The matrices' rows mod linalg.PRIME, reduced on first use, or
+        None when PRIME divides a denominator."""
+        try:
+            return self._residues
+        except AttributeError:
+            object.__setattr__(self, "_residues", _residues(self.matrices))
+            return self._residues
 
     def __eq__(self, other):
         return (
@@ -183,8 +196,18 @@ def tangent_rank(t: MatrixTuple) -> TangentRank:
     first k - 1 matrices alone, and the pivots among them count its rank.
     That sub-map is onto the trace-zero matrices (commutators land there)
     exactly when this count is n^2 - 1; None for a single matrix.
+
+    Commutators are trace-zero, so n^2 - 1 bounds every rank here.  When
+    the map of the first k - 1 matrices (of the one matrix, k = 1) reaches
+    it mod PRIME, the whole map has rank n^2 - 1 and that sub-map is onto;
+    otherwise the exact map is eliminated.
     """
     n2 = t.n * t.n
+    residues = t.residues
+    if residues is not None:
+        leading = residues[: max(t.count - 1, 1)]
+        if _residue_tangent_rank(leading, n2 - 1) == n2 - 1:
+            return TangentRank(n2 - 1, 1, None if t.count == 1 else True)
     pivots = pivot_columns(commutator_operator(t.matrices))
     surjective = None
     if t.count > 1:
@@ -202,17 +225,29 @@ class IrreducibilityReport:
         return self.irreducible
 
 
-def is_irreducible(t: MatrixTuple) -> IrreducibilityReport:
+def is_irreducible(t: MatrixTuple, relation: bool | None = None) -> IrreducibilityReport:
     """Burnside test: the unital algebra generated by the tuple has full
     dimension n^2 exactly when no common proper invariant subspace exists.
 
     When the relation holds the last matrix lies in the algebra of the
     others, A_k = -(A_1 + .. + A_(k-1)) or M_k = P^-1 for P = M_1 .. M_(k-1),
     a polynomial in P by Cayley-Hamilton, so the closure leaves it out; when
-    the relation fails every matrix is kept."""
-    gens = t.matrices[:-1] if t.count > 1 and verify_relation(t) else t.matrices
-    dim = algebra_dimension(gens)
-    return IrreducibilityReport(irreducible=dim == t.n * t.n, algebra_dimension=dim)
+    the relation fails every matrix is kept.  `relation` is
+    `verify_relation(t)` when the caller has decided it already.
+
+    The closure runs mod PRIME first: n^2 words independent mod PRIME are
+    independent over Q(i), so reaching n^2 proves the full dimension;
+    otherwise the exact closure decides."""
+    if relation is None:
+        relation = verify_relation(t)
+    keep = t.count - 1 if t.count > 1 and relation else t.count
+    n2 = t.n * t.n
+    residues = t.residues
+    if residues is not None and _residue_algebra_dimension(residues[:keep]) == n2:
+        dim = n2
+    else:
+        dim = algebra_dimension(t.matrices[:keep])
+    return IrreducibilityReport(irreducible=dim == n2, algebra_dimension=dim)
 
 
 def check_witness(t: MatrixTuple, problem: TupleProblem) -> tuple[bool, list[bool]]:
@@ -247,9 +282,21 @@ def local_dimension(t: MatrixTuple, problem: TupleProblem) -> int:
 def euler_characteristic(t: MatrixTuple) -> int:
     """2n^2 minus the per-matrix class dimensions, each computed from the
     matrix itself as the rank of X -> [M_j, X]; equals the rigidity index
-    of the tuple's classes."""
+    of the tuple's classes.
+
+    Every centralizer has dimension at least n, so each rank is at most
+    n^2 - n; a rank that reaches it mod PRIME is proved, any other is
+    eliminated exactly."""
     n = t.n
-    return 2 * n * n - sum(rank(commutator_operator((m,))) for m in t.matrices)
+    bound = n * n - n
+    residues = t.residues
+    total = 0
+    for j, m in enumerate(t.matrices):
+        if residues is not None and _residue_tangent_rank(residues[j : j + 1], bound) == bound:
+            total += bound
+        else:
+            total += rank(commutator_operator((m,)))
+    return 2 * n * n - total
 
 
 @dataclass(frozen=True)

@@ -579,3 +579,14 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["good"] is True
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_generation_seed_is_input_error(self, seed):
+        proc = subprocess.run(
+            [sys.executable, "-m", "deligne_simpson.cli", "generic",
+             str(SAMPLES / "rigid_n2_problem.json"), "--generate", "--seed", seed],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert json.loads(proc.stdout) == {"error": "--seed: must be a non-negative integer"}

@@ -465,6 +465,11 @@ class TestGenerateGeneric:
         assert check_consistency(problem)
         assert is_generic(problem).generic
 
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    def test_negative_seed_is_refused(self, mode):
+        with pytest.raises(ProblemError, match="seed"):
+            generate_generic((shape([1], [1]),) * 3, mode, seed=-1)
+
     def test_all_even_multiplicities_impossible(self):
         shapes = (shape([2]), shape([1, 1]), shape([2]))
         with pytest.raises(GenericAssignmentError):

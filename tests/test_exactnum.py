@@ -19,6 +19,7 @@ import pytest
 from deligne_simpson.exactnum import (
     GR_ONE,
     GR_ZERO,
+    ExactNumberError,
     GaussianRational,
     format_rational,
     parse_rational,
@@ -267,3 +268,37 @@ def test_constants_and_refusals():
         GaussianRational(True)
     with pytest.raises(ZeroDivisionError):
         GR_ONE / GR_ZERO
+
+
+TEXTS = ["0", "-0", "+5", "007", "3/4", "-6/8", "+10/4", "-0/5", " 7/8 ", "1.5", ".5",
+         "-2.50", "1e-3", "2E+2", "1" * 60 + "/" + "7" * 40]
+
+
+@pytest.mark.parametrize("text", TEXTS)
+def test_texts_give_the_parsed_parts(text):
+    """Integers and p/q become the triple without a Fraction; the value is
+    the one parse_rational reads, in canonical form."""
+    for re, im in ((text, "0"), ("-3/9", text), (text, text)):
+        z = GaussianRational(re, im)
+        assert _canonical(z), z._t
+        assert (z.re, z.im) == (parse_rational(re), parse_rational(im))
+
+
+BAD_TEXTS = {
+    "zero denominator": "1/0", "negative over zero": "-3/0", "zero over zero": "+0/0",
+    "digit limit": "1" * 5000, "digit limit denominator": "1/" + "2" * 5000,
+    "long exponent": "1e1000", "underscore": "1_000", "nan": "nan", "empty": "",
+    "blank": " ", "exponent over": "1/2e3", "bool": True, "float": 1.5, "none": None,
+    "list": [1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TEXTS))
+def test_refusals_are_parse_rationals(name):
+    bad = BAD_TEXTS[name]
+    with pytest.raises(ExactNumberError) as expected:
+        parse_rational(bad)
+    for args in ((bad,), (0, bad), (bad, "1/0")):
+        with pytest.raises(ExactNumberError) as got:
+            GaussianRational(*args)
+        assert str(got.value) == str(expected.value)

@@ -27,7 +27,7 @@ from deligne_simpson import (
     verify_relation,
 )
 from deligne_simpson import linalg, witness
-from deligne_simpson.cli import run_command
+from deligne_simpson.cli import parse_witness, run_command, serialize_witness
 from deligne_simpson.criteria import rigidity_report
 from deligne_simpson.exactnum import format_rational
 from deligne_simpson.linalg import commutator_operator, rank
@@ -443,10 +443,17 @@ class TestDeformPinned:
         assert sorted(json.loads(DEFORM_PINS.read_text())) == sorted(_pinned_deform_cases())
 
 
+# (name, n): the rigid samples, and rigid_n2 repeated twice along the
+# diagonal, whose centralizer has dimension 4, so its rank mod PRIME falls short
+SAMPLE_WITNESSES = [("rigid_n2", 2), ("rigid_n3", 3), ("rigid_n2x2", 4)]
+DEFICIENT = {"rigid_n2x2"}
+
+
 class TestOneTangentElimination:
-    """`deform_step`, `dsp verify` and `dsp dim --witness` each eliminate
-    their n^2-row tangent map once; `deform_step` inverts only the k
-    conjugating matrices."""
+    """`deform_step` eliminates its n^2-row tangent map once, exactly, and
+    inverts only the k conjugating matrices.  `dsp verify` and `dsp dim
+    --witness` eliminate theirs once, mod PRIME, and once more by the exact
+    kernel only where the rank mod PRIME falls short of n^2 - 1."""
 
     @staticmethod
     def _tangent_eliminations(monkeypatch, n, width, call) -> int:
@@ -463,6 +470,42 @@ class TestOneTangentElimination:
         call()
         return sum(r == n * n and c >= width for _, r, c in eliminations.values())
 
+    @classmethod
+    def _both_kernels(cls, monkeypatch, n, k, call) -> tuple[list[bool], int]:
+        """Whether each elimination mod PRIME of the map of the first k - 1
+        matrices reached n^2 - 1, and the count of exact eliminations of
+        the whole map (k(n^2 - 1) columns)."""
+        reached = []
+        residue_rank = witness._residue_tangent_rank
+
+        def counting(residues, bound):
+            r = residue_rank(residues, bound)
+            if len(residues) == k - 1:
+                reached.append(r == n * n - 1)
+            return r
+
+        monkeypatch.setattr(witness, "_residue_tangent_rank", counting)
+        return reached, cls._tangent_eliminations(monkeypatch, n, k * (n * n - 1), call)
+
+    @staticmethod
+    def _documents(name, tmp_path) -> tuple[str, str]:
+        """Problem and witness paths of a rigid sample, or of rigid_n2 with
+        every matrix repeated twice along the diagonal (rigid_n2x2)."""
+        sample = name.removesuffix("x2")
+        problem, wit = SAMPLES / f"{sample}_problem.json", SAMPLES / f"{sample}_witness.json"
+        if sample == name:
+            return str(problem), str(wit)
+        doc = json.loads(problem.read_text())
+        doc["n"] *= 2
+        for c in doc["classes"]:
+            for e in c["eigenvalues"]:
+                e["multiplicity"] *= 2
+                e["blocks"] *= 2
+        assembled = assemble_block_diagonal(parse_witness(json.loads(wit.read_text())), 2).assembled
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        (tmp_path / "w.json").write_text(json.dumps(serialize_witness(assembled)))
+        return str(tmp_path / "p.json"), str(tmp_path / "w.json")
+
     @pytest.mark.parametrize("case", sorted(_pinned_deform_cases()))
     def test_deform_step(self, monkeypatch, case):
         base, directions, eps = _pinned_deform_cases()[case]
@@ -478,16 +521,21 @@ class TestOneTangentElimination:
         assert self._tangent_eliminations(monkeypatch, n, width, lambda: deform_step(base, directions, eps)) == 1
         assert len(inverted) == k
 
-    @pytest.mark.parametrize("name,n", [("rigid_n2", 2), ("rigid_n3", 3)])
-    def test_verify(self, monkeypatch, name, n):
-        argv = ["verify", str(SAMPLES / f"{name}_problem.json"), str(SAMPLES / f"{name}_witness.json")]
-        # the map of the first k - 1 = 2 matrices, which surjectivity
-        # without the last matrix would eliminate on its own
-        width = 2 * (n * n - 1)
-        assert self._tangent_eliminations(monkeypatch, n, width, lambda: run_command(argv)) == 1
+    @pytest.mark.parametrize("name,n", SAMPLE_WITNESSES)
+    def test_verify(self, monkeypatch, tmp_path, name, n):
+        problem, wit = self._documents(name, tmp_path)
+        fallback = int(name in DEFICIENT)
+        reached, exact = self._both_kernels(monkeypatch, n, 3, lambda: run_command(["verify", problem, wit]))
+        assert reached == [not fallback]
+        assert exact == fallback
 
-    @pytest.mark.parametrize("name,n", [("rigid_n2", 2), ("rigid_n3", 3)])
-    def test_dim_witness(self, monkeypatch, name, n):
-        argv = ["dim", str(SAMPLES / f"{name}_problem.json"), "--witness", str(SAMPLES / f"{name}_witness.json")]
-        # any n^2-row elimination counts, whatever its width
-        assert self._tangent_eliminations(monkeypatch, n, 0, lambda: run_command(argv)) == 1
+    @pytest.mark.parametrize("name,n", SAMPLE_WITNESSES)
+    def test_dim_witness(self, monkeypatch, tmp_path, name, n):
+        problem, wit = self._documents(name, tmp_path)
+        fallback = int(name in DEFICIENT)
+        argv = ["dim", problem, "--witness", wit]
+        reached, exact = self._both_kernels(monkeypatch, n, 3, lambda: run_command(argv))
+        assert reached == [not fallback]
+        assert exact == fallback
+        # nor does any other n^2-row elimination run, whatever its width
+        assert self._tangent_eliminations(monkeypatch, n, 0, lambda: run_command(argv)) == fallback
