@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .criteria import PsiTrace, TieVerdictError, is_good, rigidity_report
@@ -595,10 +596,18 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     human = "--human" in argv
     code, report = run_command(argv)
-    if human:
-        print(_render_human(report))
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        if human:
+            print(_render_human(report))
+        else:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (dsp ... | head): send what is left, and
+        # the flush at exit, to devnull instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

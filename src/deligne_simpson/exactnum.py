@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 
 class ExactNumberError(ValueError):
@@ -214,6 +215,12 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     z = _new(GaussianRational)
     _set(z, (a, b, d))
     return z
+
+
+# The canonical triple of a Gaussian rational, and the Gaussian rational of
+# any triple with d > 0, for exact kernels that compute on triples.
+triple = attrgetter("_t")
+from_triple = _make
 
 
 def as_gaussian(x) -> GaussianRational:

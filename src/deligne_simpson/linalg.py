@@ -7,6 +7,19 @@ first nonzero entry.  No result depends on this pivot rule or on the row
 order: the set of pivot columns is an invariant of the row space, the
 solution with every free variable zero is unique, and so is an inverse.
 
+The exact kernels compute on the triple (a, b, d) that a GaussianRational
+(a + b*i)/d holds, d > 0 and gcd(a, b, d) = 1, not through its operators.
+`_add_row` takes the ratio of an entry to the pivot with one gcd, and each
+updated entry row[j] - pivot_row[j] * ratio as one fraction with one gcd;
+`Matrix.__mul__` and `_back_substitute` sum each entry's products over the
+lcm of their denominators and reduce the sum once.  The pivot rule, the
+row order and the unscaled stored rows are those of the operator kernel,
+and a canonical triple is unique, so every entry stored equals, step by
+step, the one the operators compute: only the intermediate gcds and
+objects are saved.  Every stored entry stays in lowest terms.  Scaling
+rows to Gaussian integers instead (fraction-free elimination) lets the
+entries of a closure's words grow with every product.
+
 Every witness check ranks one tangent map, built by `commutator_operator`:
 (X_1..X_k) -> sum of [M_j, X_j] with each X_j in sl_n.  Its rows index
 vec(Y), the row-major flattening of an n x n matrix Y (entry (a, b) at
@@ -40,10 +53,11 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exactnum import GR_ONE, GR_ZERO, GaussianRational, as_gaussian, residue_map
+from .exactnum import GR_ONE, GR_ZERO, GaussianRational, as_gaussian, from_triple, residue_map, triple
 
 # the modular certificate's prime, = 1 (mod 4), and a square root of -1 mod it
 PRIME = 1073741789
@@ -136,18 +150,11 @@ class Matrix:
                     f"cannot multiply {self.nrows}x{self.ncols} by "
                     f"{other.nrows}x{other.ncols}"
                 )
-            cols = list(zip(*other.rows))
-            out = []
-            for row in self.rows:
-                out_row = []
-                for col in cols:
-                    acc = GR_ZERO
-                    for a, b in zip(row, col):
-                        if a and b:
-                            acc = acc + a * b
-                    out_row.append(acc)
-                out.append(tuple(out_row))
-            return Matrix._of(tuple(out))
+            cols = [tuple(map(triple, col)) for col in zip(*other.rows)]
+            return Matrix._of(tuple(
+                tuple([from_triple(*_dot(row, col)) for col in cols])
+                for row in map(_triples, self.rows)
+            ))
         return self.scale(other)
 
     def scale(self, scalar) -> "Matrix":
@@ -177,7 +184,7 @@ class Matrix:
 
     def norm_rowsum(self) -> Fraction:
         """Max row sum of |re|+|im| entry magnitudes (submultiplicative)."""
-        return max(sum((x.l1() for x in row), Fraction(0)) for row in self.rows)
+        return max(Fraction(*_l1_sum(map(triple, row))) for row in self.rows)
 
     def _check_same_shape(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -190,48 +197,112 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def _add_row(pivots: dict[int, list[GaussianRational]], row: list[GaussianRational]) -> bool:
-    """Reduce `row` in place against the stored pivot rows.  If a nonzero
-    entry remains, store the row, unscaled, under the column of its first
-    nonzero entry and return True; otherwise return False."""
-    for c in range(len(row)):
-        x = row[c]
-        if not x:
+# the triple of 0
+ZERO = (0, 0, 1)
+
+
+def _triples(row) -> list[tuple[int, int, int]]:
+    return list(map(triple, row))
+
+
+def _add_row(pivots: dict[int, tuple], row: list[tuple[int, int, int]]) -> bool:
+    """Reduce `row`, a list of canonical triples, in place against the
+    stored pivot rows.  If a nonzero entry remains, store the row, unscaled,
+    under the column c of its first nonzero entry, as that entry and the
+    (column, a, b, d) of its nonzero entries right of c, and return True;
+    otherwise return False."""
+    for c, (a, b, d) in enumerate(row):
+        if not (a or b):
             continue
-        pivot_row = pivots.get(c)
-        if pivot_row is None:
-            pivots[c] = row
+        pivot = pivots.get(c)
+        if pivot is None:
+            pivots[c] = (row[c], [(j, *t) for j, t in enumerate(row[c + 1 :], c + 1) if t[0] or t[1]])
             return True
-        ratio = x / pivot_row[c]
-        for j in range(c, len(row)):
-            if pivot_row[j]:
-                row[j] = row[j] - pivot_row[j] * ratio
+        (pa, pb, pd), tail = pivot
+        # the ratio row[c] / pivot entry, times the conjugate over the norm
+        ra, rb, rd = (a * pa + b * pb) * pd, (b * pa - a * pb) * pd, d * (pa * pa + pb * pb)
+        g = gcd(ra, rb, rd)
+        if g != 1:
+            ra, rb, rd = ra // g, rb // g, rd // g
+        row[c] = ZERO
+        # row[j] - pivot_row[j] * ratio as one fraction: (a - m) / d when the
+        # product's denominator md is d, else (a md - m d) / (d md)
+        for j, pa, pb, pd in tail:
+            ma, mb, md = pa * ra - pb * rb, pa * rb + pb * ra, pd * rd
+            a, b, d = row[j]
+            if d == md:
+                a, b = a - ma, b - mb
+            else:
+                a, b, d = a * md - ma * d, b * md - mb * d, d * md
+            g = gcd(a, b, d)
+            row[j] = (a, b, d) if g == 1 else (a // g, b // g, d // g)
     return False
 
 
-def _reduce(rows) -> dict[int, list[GaussianRational]]:
-    pivots: dict[int, list[GaussianRational]] = {}
+def _reduce(rows) -> dict[int, tuple]:
+    """The pivot rows of the elimination of rows of Gaussian rationals."""
+    pivots: dict[int, tuple] = {}
     for row in rows:
-        _add_row(pivots, row)
+        _add_row(pivots, _triples(row))
     return pivots
 
 
-def _back_substitute(
-    pivots: dict[int, list[GaussianRational]], ncols: int, nrhs: int
-) -> list[list[GaussianRational]]:
+def _l1_sum(xs) -> tuple[int, int]:
+    """The sum of (|a| + |b|) / d over the triples, as (p, q) with p/q the
+    sum: q is the lcm of the denominators, grown term by term."""
+    sp, sq = 0, 1
+    for a, b, d in xs:
+        if d == sq:
+            sp += abs(a) + abs(b)
+        else:
+            g = gcd(sq, d)
+            sp, sq = sp * (d // g) + (abs(a) + abs(b)) * (sq // g), sq * (d // g)
+    return sp, sq
+
+
+def _dot(xs, ys) -> tuple[int, int, int]:
+    """The sum of x * y over paired triples, as (a, b, d) not in lowest
+    terms: d is the lcm of the products' denominators, grown term by term."""
+    sa = sb = 0
+    sd = 1
+    for (a1, b1, d1), (a2, b2, d2) in zip(xs, ys):
+        if (a1 or b1) and (a2 or b2):
+            a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+            if d == sd:
+                sa += a
+                sb += b
+            else:
+                g = gcd(sd, d)
+                u, v = d // g, sd // g
+                sa, sb, sd = sa * u + a * v, sb * u + b * v, sd * u
+    return sa, sb, sd
+
+
+def _back_substitute(pivots: dict[int, tuple], ncols: int, nrhs: int) -> list[list[GaussianRational]]:
     """The solution X, one row per unknown, of the reduced system whose
-    last `nrhs` columns are right-hand sides, every free unknown zero."""
-    x = [[GR_ZERO] * nrhs for _ in range(ncols)]
+    last `nrhs` columns are right-hand sides, every free unknown zero.
+    Entry r of unknown c is (rhs_r - sum of f_j x_jr) / pivot over the
+    pivot row's nonzero f_j, one fraction reduced once."""
+    x = [[ZERO] * nrhs for _ in range(ncols)]
+    out = [[GR_ZERO] * nrhs for _ in range(ncols)]
     for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        acc = row[ncols:]
-        for j in range(c + 1, ncols):
-            f = row[j]
-            if f:
-                acc = [a - f * y if y else a for a, y in zip(acc, x[j])]
-        pv = row[c]
-        x[c] = [a / pv for a in acc]
-    return x
+        (pa, pb, pd), tail = pivots[c]
+        rhs = [ZERO] * nrhs
+        fs, known = [], []
+        for j, a, b, d in tail:
+            if j < ncols:
+                fs.append((a, b, d))
+                known.append(x[j])
+            else:
+                rhs[j - ncols] = (a, b, d)
+        norm = pa * pa + pb * pb
+        out[c] = entries = []
+        for r, (ra, rb, rd) in enumerate(rhs):
+            sa, sb, sd = _dot(fs, [y[r] for y in known])
+            a, b, d = ra * sd - sa * rd, rb * sd - sb * rd, rd * sd
+            entries.append(from_triple((a * pa + b * pb) * pd, (b * pa - a * pb) * pd, d * norm))
+        x[c] = _triples(entries)
+    return out
 
 
 def pivot_columns(matrix: Matrix) -> list[int]:
@@ -241,7 +312,7 @@ def pivot_columns(matrix: Matrix) -> list[int]:
     them, so the rank of any leading block of columns is the number of
     pivots inside it.
     """
-    return sorted(_reduce(list(row) for row in matrix.rows))
+    return sorted(_reduce(matrix.rows))
 
 
 def rank(matrix: Matrix) -> int:
@@ -256,7 +327,7 @@ def solve_first(matrix: Matrix, rhs: Sequence[GaussianRational]):
     if len(rhs) != matrix.nrows:
         raise LinalgError("right-hand side length mismatch")
     ncols = matrix.ncols
-    pivots = _reduce(list(row) + [as_gaussian(b)] for row, b in zip(matrix.rows, rhs))
+    pivots = _reduce((*row, as_gaussian(b)) for row, b in zip(matrix.rows, rhs))
     if ncols in pivots:
         return None, len(pivots) - 1
     return [xc[0] for xc in _back_substitute(pivots, ncols, 1)], len(pivots)
@@ -266,10 +337,7 @@ def inverse(matrix: Matrix) -> Matrix:
     if not matrix.is_square:
         raise LinalgError("inverse of a non-square matrix")
     n = matrix.nrows
-    pivots = _reduce(
-        list(row) + [GR_ONE if i == j else GR_ZERO for j in range(n)]
-        for i, row in enumerate(matrix.rows)
-    )
+    pivots = _reduce(map(tuple.__add__, matrix.rows, Matrix.identity(n).rows))
     # [M | I] always has rank n; M is invertible exactly when every pivot
     # lies in M's block
     if max(pivots) >= n:
@@ -304,7 +372,7 @@ def algebra_dimension(matrices: Sequence[Matrix]) -> int:
     span does not depend on the order, and short words keep entries small.
     """
     n = matrices[0].nrows
-    return _closure(matrices, Matrix.identity(n), Matrix.__mul__, lambda m: list(vec(m)), _add_row)
+    return _closure(matrices, Matrix.identity(n), Matrix.__mul__, lambda m: _triples(vec(m)), _add_row)
 
 
 def _closure(gens, one, product, flat, add_row) -> int:
@@ -336,6 +404,14 @@ def _residues(matrices: Sequence[Matrix]) -> list[tuple[tuple[int, ...], ...]] |
             return None
         out.append(rows)
     return out
+
+
+def _residue_rank(rows) -> int:
+    """The rank mod PRIME of a matrix of residues."""
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    for row in rows:
+        _add_residue_row(pivots, list(row))
+    return len(pivots)
 
 
 def _residue_tangent_rank(residues, bound: int) -> int:

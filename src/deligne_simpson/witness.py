@@ -22,6 +22,7 @@ from .linalg import (
     Matrix,
     SingularMatrixError,
     _residue_algebra_dimension,
+    _residue_rank,
     _residue_tangent_rank,
     _residues,
     algebra_dimension,
@@ -73,8 +74,12 @@ class MatrixTuple:
             if not m.is_square or m.nrows != n:
                 raise WitnessError(f"matrix {j} is not {n}x{n}")
         if mode == MULTIPLICATIVE:
+            # full rank mod PRIME proves a matrix invertible; the exact rank
+            # decides the rest
+            residues = _residues(matrices)
+            object.__setattr__(self, "_residues", residues)
             for j, m in enumerate(matrices):
-                if rank(m) != n:
+                if (residues is None or _residue_rank(residues[j]) < n) and rank(m) != n:
                     raise WitnessError(f"matrix {j} is singular in multiplicative mode")
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "matrices", matrices)

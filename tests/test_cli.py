@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -579,6 +580,29 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["good"] is True
+
+    @pytest.mark.parametrize("flags", [[], ["--human"]], ids=["json", "human"])
+    def test_closed_stdout_exits_quietly(self, flags):
+        """`dsp deform ... | head -c1` with the reader gone before the
+        report is written: every write to stdout fails with EPIPE, and the
+        exit status is still the command's."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "deligne_simpson.cli", "deform",
+                 str(SAMPLES / "rigid_n2_witness.json"),
+                 str(SAMPLES / "deform_directions_n2.json"), "--epsilon", "1/1024",
+                 "--tolerance", "1e-3", *flags],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     @pytest.mark.parametrize("seed", ["-1", "-7"])
     def test_negative_generation_seed_is_input_error(self, seed):

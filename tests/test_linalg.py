@@ -5,7 +5,10 @@ planted rank deficiency (a product through a narrower inner dimension)
 and some with zeroed rows and columns, are checked against sympy's
 `DomainMatrix` over `QQ_I`: the pivot columns against `rref()`, every
 `solve_first` answer against the augmented rank and A x = b, and
-`inverse` against the identity.  The generated-algebra dimension behind
+`inverse` against the identity.  Matrices with mixed denominators and
+4-, 60- and 400-bit parts are checked the same way, `inverse` against
+sympy's and every product against sympy's, with every entry the kernel
+stores or returns in lowest terms.  The generated-algebra dimension behind
 `is_irreducible` is compared with a word-span closure ranked by sympy,
 and with a^2 + b^2 + ab on conjugated block-upper-triangular tuples,
 whose generated algebra is the whole block-upper-triangular algebra.
@@ -17,6 +20,7 @@ relation.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -31,6 +35,7 @@ from deligne_simpson import (
     is_irreducible,
     verify_relation,
 )
+from deligne_simpson import linalg
 from deligne_simpson.linalg import (
     SingularMatrixError,
     algebra_dimension,
@@ -54,8 +59,8 @@ def _entry(rng) -> GaussianRational:
     return GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
 
 
-def _random(rng, nrows, ncols) -> list[list[GaussianRational]]:
-    return [[_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+def _random(rng, nrows, ncols, entry=_entry) -> list[list[GaussianRational]]:
+    return [[entry(rng) for _ in range(ncols)] for _ in range(nrows)]
 
 
 def _product(a, b) -> list[list[GaussianRational]]:
@@ -65,7 +70,7 @@ def _product(a, b) -> list[list[GaussianRational]]:
     ]
 
 
-def _test_matrix(rng, nrows, ncols) -> Matrix:
+def _test_matrix(rng, nrows, ncols, entry=_entry) -> Matrix:
     """A full-rank-looking, a planted rank-deficient or a zero-padded
     matrix, chosen by the seed."""
     kind = rng.randrange(3)
@@ -74,9 +79,9 @@ def _test_matrix(rng, nrows, ncols) -> Matrix:
         if inner == 0:
             rows = [[GaussianRational(0)] * ncols for _ in range(nrows)]
         else:
-            rows = _product(_random(rng, nrows, inner), _random(rng, inner, ncols))
+            rows = _product(_random(rng, nrows, inner, entry), _random(rng, inner, ncols, entry))
     else:
-        rows = _random(rng, nrows, ncols)
+        rows = _random(rng, nrows, ncols, entry)
     if kind == 2:
         for i in rng.sample(range(nrows), rng.randrange(nrows)):
             rows[i] = [GaussianRational(0)] * ncols
@@ -149,6 +154,114 @@ def test_inverse_or_singular(index):
             inverse(m)
     else:
         assert inverse(m) * m == Matrix.identity(m.nrows)
+
+
+# -- entries with denominators and with 60- and 400-bit parts ----------------
+
+
+def _canonical(x: GaussianRational) -> bool:
+    a, b, d = x._t
+    return d > 0 and math.gcd(a, b, d) == 1
+
+
+def _sized_entry(bits):
+    """Parts p/q, p of up to `bits` bits and q from a mix of 1, small
+    primes, a power of two and a random `bits`-bit denominator; every
+    fifth entry 0."""
+
+    def entry(rng) -> GaussianRational:
+        if rng.randrange(5) == 0:
+            return GaussianRational(0)
+
+        def part():
+            q = rng.choice([1, 1, 3, 7, 2**bits, rng.randint(1, 2**bits)])
+            return f"{rng.randint(-(2**bits), 2**bits)}/{q}"
+
+        return GaussianRational(part(), part())
+
+    return entry
+
+
+def _sized_cases():
+    rng = random.Random(20261019)
+    shapes = [(1, 1), (2, 3), (3, 2), (3, 3), (4, 4), (5, 3), (4, 6)]
+    return [
+        (bits, _test_matrix(rng, *shape, _sized_entry(bits)))
+        for bits in (4, 60, 400)
+        for shape in shapes
+        for _ in range(2)
+    ]
+
+
+SIZED = _sized_cases()
+
+
+@pytest.fixture
+def canonical_kernel(monkeypatch):
+    """Check after every `_add_row` that the reduced row and every stored
+    pivot row hold canonical triples only."""
+    add_row = linalg._add_row
+
+    def checked(pivots, row):
+        kept = add_row(pivots, row)
+        for a, b, d in row:
+            assert d > 0 and math.gcd(a, b, d) == 1, (a, b, d)
+        for (pa, pb, pd), tail in pivots.values():
+            for a, b, d in [(pa, pb, pd)] + [t[1:] for t in tail]:
+                assert d > 0 and math.gcd(a, b, d) == 1, (a, b, d)
+        return kept
+
+    monkeypatch.setattr(linalg, "_add_row", checked)
+
+
+def test_sized_cases_cover_denominators_and_sizes():
+    entries = [x for _, m in SIZED for row in m.rows for x in row]
+    assert {x._t[2] > 1 for x in entries} == {True, False}
+    assert max(max(abs(x._t[0]), abs(x._t[1])).bit_length() for x in entries) > 400
+    assert len({b for b, m in SIZED if rank(m) < min(m.nrows, m.ncols)}) == 3
+
+
+@pytest.mark.parametrize("index", range(len(SIZED)))
+def test_sized_elimination_against_sympy(index, canonical_kernel):
+    bits, m = SIZED[index]
+    rng = random.Random(index)
+    domain = _domain(m)
+    _, pivots = domain.rref()
+    assert pivot_columns(m) == list(pivots)
+    rhs = [row[0] for row in _product(m.rows, _random(rng, m.ncols, 1, _sized_entry(bits)))]
+    x, r = solve_first(m, rhs)
+    assert r == len(pivots) and x is not None and all(map(_canonical, x))
+    assert domain * _domain(Matrix([[v] for v in x])) == _domain(Matrix([[b] for b in rhs]))
+    if m.is_square and len(pivots) == m.nrows:
+        inv = inverse(m)
+        assert all(_canonical(v) for row in inv.rows for v in row)
+        assert _domain(inv) == domain.inv()
+
+
+@pytest.mark.parametrize("index", range(len(SIZED)))
+def test_product_matches_sympy(index):
+    bits, a = SIZED[index]
+    b = _test_matrix(random.Random(index), a.ncols, 3, _sized_entry(bits))
+    small = CASES[index][1]
+    for left, right in ((a, b), (Matrix(zip(*small.rows)), small)):
+        product = left * right
+        assert all(_canonical(v) for row in product.rows for v in row)
+        assert _domain(product) == _domain(left) * _domain(right)
+
+
+@pytest.mark.parametrize("bits", [4, 60])
+def test_sized_algebra_dimension(bits, canonical_kernel):
+    """Conjugated block-upper-triangular pairs with denominators: the
+    closure keeps every entry canonical and reaches a^2 + b^2 + ab."""
+    rng = random.Random(bits)
+    entry = _sized_entry(bits)
+    p = _invertible(rng, 3)
+    p_inv = inverse(p)
+    mats = [p_inv * Matrix([[entry(rng), entry(rng), entry(rng)],
+                            [entry(rng), entry(rng), entry(rng)],
+                            [0, 0, entry(rng)]]) * p for _ in range(2)]
+    assert all(_canonical(v) for m in mats for row in m.rows for v in row)
+    assert algebra_dimension(mats) == 7
 
 
 @pytest.mark.parametrize(

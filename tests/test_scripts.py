@@ -14,8 +14,12 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 @pytest.mark.parametrize(
     "argv",
-    [["classify_samples.py"], ["invariance_sweep.py", "0", "5"]],
-    ids=["classify_samples", "invariance_sweep"],
+    [
+        ["classify_samples.py"],
+        ["invariance_sweep.py", "0", "5"],
+        ["kernel_ladder.py", "--sizes", "4", "--bits", "8", "--repeats", "1"],
+    ],
+    ids=["classify_samples", "invariance_sweep", "kernel_ladder"],
 )
 def test_script_exits_zero(argv):
     result = subprocess.run(

@@ -56,6 +56,48 @@ class TestVerifyRelation:
             MatrixTuple(MULTIPLICATIVE, [Matrix([[1, 0], [0, 0]])])
 
 
+class TestInvertibility:
+    """A multiplicative matrix of rank n mod PRIME is invertible without an
+    exact rank; a shortfall mod PRIME, or a denominator divisible by PRIME,
+    leaves the matrix to the exact rank."""
+
+    @staticmethod
+    def _exact_ranks(monkeypatch, matrices) -> list:
+        ranked = []
+
+        def counting(m):
+            ranked.append(m)
+            return rank(m)
+
+        monkeypatch.setattr(witness, "rank", counting)
+        MatrixTuple(MULTIPLICATIVE, matrices)
+        return ranked
+
+    def test_full_rank_mod_prime_needs_no_exact_rank(self, monkeypatch):
+        mats = [Matrix([[1, 2], [3, 4]]), Matrix([[gr(0, 1), gr(Fraction(1, 3))], [1, 0]])]
+        assert self._exact_ranks(monkeypatch, mats) == []
+
+    @pytest.mark.parametrize("singular", [
+        [[1, 2], [2, 4]],
+        [[0, 0], [0, 0]],
+        [[gr(Fraction(1, linalg.PRIME)), 1], [1, linalg.PRIME]],
+    ], ids=["rank-one", "zero", "prime-denominator"])
+    def test_singular_matrix_is_refused_by_index(self, monkeypatch, singular):
+        with pytest.raises(WitnessError) as err:
+            self._exact_ranks(monkeypatch, [Matrix.identity(2), Matrix(singular), Matrix([[0, 0], [0, 0]])])
+        assert str(err.value) == "matrix 1 is singular in multiplicative mode"
+
+    def test_singular_mod_prime_takes_the_exact_path(self, monkeypatch):
+        m = Matrix([[linalg.PRIME, 0], [0, 1]])
+        assert self._exact_ranks(monkeypatch, [Matrix.identity(2), m]) == [m]
+
+    def test_denominator_divisible_by_prime_takes_the_exact_path(self, monkeypatch):
+        mats = [Matrix([[gr(Fraction(1, 2 * linalg.PRIME)), 0], [0, 1]]), Matrix([[0, 1], [1, 0]])]
+        t = MatrixTuple(MULTIPLICATIVE, mats)
+        assert t.residues is None
+        assert self._exact_ranks(monkeypatch, mats) == mats
+
+
 class TestClassMembership:
     def test_jordan_block_vs_full_shape(self):
         j2 = Matrix([[0, 1], [0, 0]])
