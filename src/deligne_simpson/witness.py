@@ -97,8 +97,9 @@ class MatrixTuple:
 
     @property
     def residues(self):
-        """The matrices' rows mod linalg.PRIME, reduced on first use, or
-        None when PRIME divides a denominator."""
+        """The matrices' rows mod linalg.PRIME, reduced at construction
+        (multiplicative) or on first use, or None when PRIME divides a
+        denominator."""
         try:
             return self._residues
         except AttributeError:
