@@ -184,7 +184,7 @@ class Matrix:
 
     def norm_rowsum(self) -> Fraction:
         """Max row sum of |re|+|im| entry magnitudes (submultiplicative)."""
-        return max(Fraction(*_l1_sum(map(triple, row))) for row in self.rows)
+        return max(sum((x.l1() for x in row), Fraction(0)) for row in self.rows)
 
     def _check_same_shape(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -227,15 +227,15 @@ def _add_row(pivots: dict[int, tuple], row: list[tuple[int, int, int]]) -> bool:
         row[c] = ZERO
         # row[j] - pivot_row[j] * ratio as one fraction: (a - m) / d when the
         # product's denominator md is d, else (a md - m d) / (d md)
-        for j, pa, pb, pd in tail:
-            ma, mb, md = pa * ra - pb * rb, pa * rb + pb * ra, pd * rd
-            a, b, d = row[j]
-            if d == md:
-                a, b = a - ma, b - mb
+        for j, fa, fb, fd in tail:
+            ma, mb, md = fa * ra - fb * rb, fa * rb + fb * ra, fd * rd
+            ea, eb, ed = row[j]
+            if ed == md:
+                ea, eb = ea - ma, eb - mb
             else:
-                a, b, d = a * md - ma * d, b * md - mb * d, d * md
-            g = gcd(a, b, d)
-            row[j] = (a, b, d) if g == 1 else (a // g, b // g, d // g)
+                ea, eb, ed = ea * md - ma * ed, eb * md - mb * ed, ed * md
+            g = gcd(ea, eb, ed)
+            row[j] = (ea, eb, ed) if g == 1 else (ea // g, eb // g, ed // g)
     return False
 
 
@@ -245,19 +245,6 @@ def _reduce(rows) -> dict[int, tuple]:
     for row in rows:
         _add_row(pivots, _triples(row))
     return pivots
-
-
-def _l1_sum(xs) -> tuple[int, int]:
-    """The sum of (|a| + |b|) / d over the triples, as (p, q) with p/q the
-    sum: q is the lcm of the denominators, grown term by term."""
-    sp, sq = 0, 1
-    for a, b, d in xs:
-        if d == sq:
-            sp += abs(a) + abs(b)
-        else:
-            g = gcd(sq, d)
-            sp, sq = sp * (d // g) + (abs(a) + abs(b)) * (sq // g), sq * (d // g)
-    return sp, sq
 
 
 def _dot(xs, ys) -> tuple[int, int, int]:

@@ -73,16 +73,15 @@ class MatrixTuple:
                 raise WitnessError(f"entry {j} is not a Matrix")
             if not m.is_square or m.nrows != n:
                 raise WitnessError(f"matrix {j} is not {n}x{n}")
+        object.__setattr__(self, "matrices", matrices)
         if mode == MULTIPLICATIVE:
             # full rank mod PRIME proves a matrix invertible; the exact rank
             # decides the rest
-            residues = _residues(matrices)
-            object.__setattr__(self, "_residues", residues)
+            residues = self.residues
             for j, m in enumerate(matrices):
                 if (residues is None or _residue_rank(residues[j]) < n) and rank(m) != n:
                     raise WitnessError(f"matrix {j} is singular in multiplicative mode")
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "matrices", matrices)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixTuple is immutable")
@@ -97,9 +96,8 @@ class MatrixTuple:
 
     @property
     def residues(self):
-        """The matrices' rows mod linalg.PRIME, reduced at construction
-        (multiplicative) or on first use, or None when PRIME divides a
-        denominator."""
+        """The matrices' rows mod linalg.PRIME, reduced on first use, or
+        None when PRIME divides a denominator."""
         try:
             return self._residues
         except AttributeError:
