@@ -381,6 +381,8 @@ def _cmd_good(args) -> tuple[int, dict]:
 def _cmd_generic(args) -> tuple[int, dict]:
     if args.generate and args.seed < 0:
         raise CliInputError("--seed: must be a non-negative integer")
+    if args.generate and args.relation_cap is not None:
+        raise CliInputError("--relation-cap: not used by --generate, which runs no search")
     problem = _load_problem(args.problem)
     if args.generate:
         try:
@@ -395,7 +397,8 @@ def _cmd_generic(args) -> tuple[int, dict]:
         if args.output:
             _write_json(args.output, doc)
         return EXIT_OK, {"command": "generic", "generated": True, "problem": doc}
-    result = is_generic(problem, cap=args.relation_cap)
+    cap = DEFAULT_RELATION_CAP if args.relation_cap is None else args.relation_cap
+    result = is_generic(problem, cap=cap)
     report = {
         "command": "generic",
         "generic": result.generic,
@@ -540,7 +543,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_good)
 
     p = sub.add_parser("generic", help="genericity of the eigenvalue data")
-    add_common(p, relation_cap=True)
+    add_common(p)
+    # None tells an explicit cap, which --generate refuses, from the default
+    p.add_argument("--relation-cap", type=int,
+                   help="bound on the genericity search size (default 10^8; "
+                   "not with --generate)")
     p.add_argument("--generate", action="store_true",
                    help="generate an assignment for the problem's shapes that is "
                    "certified generic by construction (prime denominators above n^2)")

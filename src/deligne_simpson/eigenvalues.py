@@ -16,7 +16,9 @@ angle in Z / L plus the magnitude's exponent vector over a gcd-refined
 coprime base, packed in base W = 2B + 1 where B bounds every digit of
 every selection sum, so equal keys mean equal values.  The plan stops at
 m = n // 2: in a consistent problem the complement of a relation at m is
-a relation at n - m.
+a relation at n - m.  `find_first_relation` decides existence at each m
+from sets of distinct keys, and rebuilds the first-seen witness tables
+only at the m where the two sides meet; `relation_counts` folds counts.
 """
 
 from __future__ import annotations
@@ -151,17 +153,17 @@ class TupleProblem:
 def _combined_value(mode: str, classes, counts) -> GaussianRational | MultiplicativeEigenvalue:
     """The sum of k * v (additive), respectively the product of v ** k
     (multiplicative), where class j's i-th eigenvalue v enters k =
-    counts[j][i] times."""
-    terms = ((v, k) for c, t in zip(classes, counts) for v, k in zip(c.values, t))
+    counts[j][i] times.  A product is built once, from the sum of the
+    angles and the product of the magnitudes."""
+    terms = [(v, k) for c, t in zip(classes, counts) for v, k in zip(c.values, t)]
     if mode == ADDITIVE:
         total = GR_ZERO
         for v, k in terms:
             total = total + v * k
         return total
-    acc = MULT_ONE
-    for v, k in terms:
-        acc = acc * v.power(k)
-    return acc
+    return MultiplicativeEigenvalue(
+        sum(v.angle * k for v, k in terms), math.prod(v.magnitude**k for v, k in terms)
+    )
 
 
 def _is_identity(value) -> bool:
@@ -343,7 +345,8 @@ def _fold_classes(class_options, half: int, wrap: int) -> dict[int, tuple]:
     """Map: key of a combined value -> first-seen tuple of count vectors,
     folding the classes in order.  Deterministic because every enumeration
     is, and key equality is value equality, so the first-seen entries are
-    those of a fold over the values themselves."""
+    those of a fold over the values themselves.  `find_first_relation`
+    builds these tables only at the cardinality of its witness."""
     top = wrap - half - 1
     acc: dict[int, tuple] = {0: ()}
     for options in class_options:
@@ -376,50 +379,100 @@ def _count_classes(class_options, half: int, wrap: int) -> dict[int, int]:
     return acc
 
 
-def _cardinality_tables(problem: TupleProblem, cap: int, fold):
-    """The relation search plan: (m, left, right) for m = 1..n // 2, with
-    both meet-in-the-middle tables built by `fold`.
+def _key_totals(mults, keys, wrap: int):
+    """The distinct key totals of one class's count vectors with sum m,
+    reduced mod wrap, for m = 1, 2, ... in turn.
+
+    A dynamic program over the labels: rows[i][c] holds the totals of the
+    count vectors over the first i labels with sum c, and row c of label i
+    takes t <= min(mu_i, c) copies of key_i onto row c - t of label i - 1.
+    Each step adds the row of one more m, so a search that stops early
+    builds nothing for larger m.  Equal residues mean equal values: the
+    residue of a total is the key of the selected values' combined value,
+    and `_value_keys` makes those keys distinct mod wrap."""
+    rows = [[{0}] for _ in range(len(mults) + 1)]
+    m = 0
+    while True:
+        m += 1
+        rows[0].append(set())
+        for i, (mu, k) in enumerate(zip(mults, keys)):
+            below = rows[i]
+            rows[i + 1].append(
+                {(x + t * k) % wrap for t in range(min(mu, m) + 1) for x in below[m - t]}
+            )
+        yield rows[-1][m]
+
+
+def _fold_key_sets(key_sets, wrap: int) -> set[int]:
+    """The residues of every sum of one key per set, mod wrap (the sets
+    hold residues already; no sets is the empty sum, {0})."""
+    acc, *rest = key_sets or [{0}]
+    for keys in rest:
+        acc = {(a + k) % wrap for a in acc for k in keys}
+    return acc
+
+
+def _cardinality_tables(problem: TupleProblem, keyed, cap: int):
+    """The relation search plan: (m, split, tables) for m = 1..n // 2,
+    each yielded after the cap check at m.
 
     A balanced split of the classes keeps the table sizes near the square
-    root of the full selection count.  The left table folds value keys
-    (`_value_keys`, built once per search), the right one the keys of
-    inverse values, so a relation is a key present in both.  Only m <=
-    n // 2 is searched: the problem is consistent, so the complement
-    mult - t of a relation at m is a relation at n - m, and the selection
-    count at m equals the one at n - m.  The cap therefore fires at the
-    same m as a search over every m < n would."""
-    keys, half, wrap = _value_keys(problem)
+    root of the full selection count.  Classes j < split make the left
+    table, which folds value keys (`keyed` = `_value_keys(problem)`, built
+    once per search), the others the right one, which folds the keys of
+    inverse values, so a relation is a key present in both.  tables(fold)
+    builds both tables at m from `_class_options` with `fold`.  Only m <=
+    n // 2 is searched: the problem is consistent, so the complement mult -
+    t of a relation at m is a relation at n - m, and the selection count at
+    m equals the one at n - m.  The cap therefore fires at the same m as a
+    search over every m < n would."""
+    keys, half, wrap = keyed
+    mults = [c.shape.multiplicities() for c in problem.classes]
     for m in range(1, problem.n // 2 + 1):
-        per_class = [
-            _selection_count(c.shape.multiplicities(), m) for c in problem.classes
-        ]
+        per_class = [_selection_count(mu, m) for mu in mults]
         total = math.prod(per_class)
         if total > cap:
             raise RelationSearchCapError(
                 f"cardinality {m} needs {total} selections, cap is {cap}"
             )
         split = _balanced_split(per_class)
-        options = [
-            _class_options(
-                c.shape.multiplicities(), k, m, 1 if j < split else -1, half, wrap
-            )
-            for j, (c, k) in enumerate(zip(problem.classes, keys))
-        ]
-        yield m, fold(options[:split], half, wrap), fold(options[split:], half, wrap)
+
+        def tables(fold, m=m, split=split):
+            options = [
+                _class_options(mu, k, m, 1 if j < split else -1, half, wrap)
+                for j, (mu, k) in enumerate(zip(mults, keys))
+            ]
+            return fold(options[:split], half, wrap), fold(options[split:], half, wrap)
+
+        yield m, split, tables
 
 
 def find_first_relation(
     problem: TupleProblem, cap: int = DEFAULT_RELATION_CAP
 ) -> NonGenericityRelation | None:
     """Smallest-cardinality relation of a consistent problem, or None.  By
-    the complement argument of `_cardinality_tables` it has m <= n // 2."""
-    for m, left, right in _cardinality_tables(problem, cap, _fold_classes):
-        common = left.keys() & right.keys()
-        if common:
-            key = next(k for k in left if k in common)
-            return NonGenericityRelation(
-                mode=problem.mode, m=m, counts=left[key] + right[key]
-            )
+    the complement argument of `_cardinality_tables` it has m <= n // 2.
+
+    Existence at m is decided on sets of distinct keys (`_key_totals`,
+    folded per side by `_fold_key_sets`); only at the first m where the
+    two sides meet are the first-seen tables of `_fold_classes` built, and
+    the witness is the first key of the left one that the right one holds."""
+    keys, _, wrap = keyed = _value_keys(problem)
+    totals = [
+        _key_totals(c.shape.multiplicities(), k, wrap) for c, k in zip(problem.classes, keys)
+    ]
+    for m, split, tables in _cardinality_tables(problem, keyed, cap):
+        key_sets = [
+            next(t) if j < split else {-x % wrap for x in next(t)}
+            for j, t in enumerate(totals)
+        ]
+        if _fold_key_sets(key_sets[:split], wrap).isdisjoint(
+            _fold_key_sets(key_sets[split:], wrap)
+        ):
+            continue
+        left, right = tables(_fold_classes)
+        key = next(k for k in left if k in right)
+        return NonGenericityRelation(mode=problem.mode, m=m, counts=left[key] + right[key])
     return None
 
 
@@ -430,7 +483,8 @@ def relation_counts(
     m = 1..n // 2; by complements the count at n - m is the same.  Same
     plan, cap and error as `find_first_relation`."""
     counts = dict.fromkeys(range(1, problem.n // 2 + 1), 0)
-    for m, left, right in _cardinality_tables(problem, cap, _count_classes):
+    for m, _, tables in _cardinality_tables(problem, _value_keys(problem), cap):
+        left, right = tables(_count_classes)
         counts[m] = sum(c * right[k] for k, c in left.items() if k in right)
     return counts
 

@@ -604,6 +604,21 @@ class TestConsoleEntry:
         assert "Traceback" not in proc.stderr
         assert (proc.returncode, proc.stderr) == (0, "")
 
+    def test_relation_cap_with_generate_is_input_error(self):
+        # generation is certified and runs no search, so a cap given with
+        # --generate would be ignored; without --generate it still bounds
+        # the search (TestRelationCap)
+        proc = subprocess.run(
+            [sys.executable, "-m", "deligne_simpson.cli", "generic",
+             str(SAMPLES / "rigid_n2_problem.json"), "--generate", "--relation-cap", "100"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert json.loads(proc.stdout) == {
+            "error": "--relation-cap: not used by --generate, which runs no search"
+        }
+
     @pytest.mark.parametrize("seed", ["-1", "-7"])
     def test_negative_generation_seed_is_input_error(self, seed):
         proc = subprocess.run(

@@ -24,13 +24,22 @@ from deligne_simpson import (
     is_generic,
     reduced_multiplicity_product,
 )
+from deligne_simpson import eigenvalues
 from deligne_simpson.eigenvalues import (
     _SIEVE_WIDTH,
+    DEFAULT_RELATION_CAP,
     MULT_ONE,
+    NonGenericityRelation,
     _assemble_assignment,
+    _balanced_split,
     _certify_generic,
+    _class_options,
+    _combined_value,
+    _fold_classes,
     _primes_from,
+    _selection_count,
     _selection_vectors,
+    _value_keys,
     find_first_relation,
     relation_counts,
 )
@@ -372,6 +381,154 @@ class TestRelationCap:
             f"cardinality {n // 2} needs {largest} selections, cap is {largest - 1}"
         )
         assert find_first_relation(problem, cap=largest) is None
+
+
+def _dict_fold_search(problem, cap=DEFAULT_RELATION_CAP):
+    """The relation search with first-seen tables at every m, as it ran
+    before existence was decided on key sets: the oracle for the witness,
+    the verdict and the cap error of `find_first_relation`."""
+    keys, half, wrap = _value_keys(problem)
+    for m in range(1, problem.n // 2 + 1):
+        per_class = [_selection_count(c.shape.multiplicities(), m) for c in problem.classes]
+        total = math.prod(per_class)
+        if total > cap:
+            raise RelationSearchCapError(
+                f"cardinality {m} needs {total} selections, cap is {cap}"
+            )
+        split = _balanced_split(per_class)
+        options = [
+            _class_options(c.shape.multiplicities(), k, m, 1 if j < split else -1, half, wrap)
+            for j, (c, k) in enumerate(zip(problem.classes, keys))
+        ]
+        left = _fold_classes(options[:split], half, wrap)
+        right = _fold_classes(options[split:], half, wrap)
+        common = left.keys() & right.keys()
+        if common:
+            key = next(k for k in left if k in common)
+            return NonGenericityRelation(mode=problem.mode, m=m, counts=left[key] + right[key])
+    return None
+
+
+def _search_outcome(search, problem, cap):
+    try:
+        return search(problem, cap)
+    except RelationSearchCapError as exc:
+        return f"cap error: {exc}"
+
+
+def _angle_wraps(problem, relation):
+    """Whether the selected angles of a multiplicative relation sum to a
+    positive integer, not to 0."""
+    return problem.mode == MULTIPLICATIVE and 0 < sum(
+        v.angle * k
+        for c, t in zip(problem.classes, relation.counts)
+        for v, k in zip(c.values, t)
+    )
+
+
+class TestExistenceSearchAgainstDictFold:
+    """`find_first_relation` decides existence on key sets and rebuilds the
+    first-seen tables only at the m that hits; the dict fold at every m is
+    the oracle, so the return value must be identical, not merely valid."""
+
+    def test_planted_and_generated_problems(self):
+        rng = random.Random("existence-search")
+        checked = relations = capped = wraps = 0
+        seen_m = set()
+        while checked < 2400:
+            mode = (ADDITIVE, MULTIPLICATIVE)[checked % 2]
+            n = rng.randint(2, 10)
+            count = rng.randint(1, 4) if n < 8 else rng.randint(1, 3)
+            if checked % 6 == 5:
+                shapes = random_shape_tuple(rng, n, max(count, 2))
+                mults = [mu for s in shapes for mu in s.multiplicities()]
+                if mode == ADDITIVE and math.gcd(*mults) > 1:
+                    continue
+                problem = generate_generic(shapes, mode, seed=rng.randint(0, 9))
+            else:
+                plant = rng.randint(0, n - 1)
+                problem = _random_consistent_problem(rng, mode, n, count, plant)
+                if problem is None:
+                    continue
+            checked += 1
+            largest = max(
+                math.prod(_selection_count(c.shape.multiplicities(), m) for c in problem.classes)
+                for m in range(1, n // 2 + 1)
+            )
+            cap = rng.choice([DEFAULT_RELATION_CAP, largest, rng.randint(1, largest)])
+            fast = _search_outcome(find_first_relation, problem, cap)
+            assert fast == _search_outcome(_dict_fold_search, problem, cap), (problem, cap)
+            if isinstance(fast, str):
+                capped += 1
+            elif fast is not None:
+                relations += 1
+                seen_m.add(fast.m)
+                wraps += _angle_wraps(problem, fast)
+        assert relations > 600 and capped > 100 and wraps > 50
+        assert seen_m == {1, 2, 3, 4, 5}
+
+    def test_single_class_problem(self):
+        # one class: the right table is the empty selection, key 0
+        values = [gr(1), gr(-1), gr(2), gr(-2)]
+        problem = TupleProblem(ADDITIVE, 4, [ClassSpec(shape([1], [1], [1], [1]), values)])
+        assert find_first_relation(problem) == _dict_fold_search(problem)
+        assert find_first_relation(problem).m == 2
+
+    def test_tables_are_built_only_at_the_m_that_hits(self, monkeypatch):
+        calls = []
+
+        def spy(class_options, half, wrap):
+            calls.append({sum(t) for options in class_options for t, _ in options})
+            return _fold_classes(class_options, half, wrap)
+
+        monkeypatch.setattr(eigenvalues, "_fold_classes", spy)
+        rng = random.Random("spy")
+        generic = nongeneric = 0
+        while generic < 20 or nongeneric < 20:
+            n = rng.randint(4, 9)
+            problem = _random_consistent_problem(
+                rng, (ADDITIVE, MULTIPLICATIVE)[n % 2], n, rng.randint(2, 3), rng.randint(0, n // 2)
+            )
+            if problem is None:
+                continue
+            calls.clear()
+            witness = find_first_relation(problem)
+            if witness is None:
+                generic += 1
+                assert calls == []
+            else:
+                nongeneric += 1
+                assert calls == [{witness.m}, {witness.m}]
+
+
+class TestCombinedValue:
+    def test_multiplicative_matches_the_per_term_product(self):
+        rng = random.Random("combined-value")
+        angles = sorted({Fraction(p, q) for q in (1, 2, 3, 5, 7) for p in range(q)})
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            shapes = random_shape_tuple(rng, n, rng.randint(1, 4))
+            classes = [
+                ClassSpec(s, [me(a, rng.choice(_MAGNITUDE_POOL))
+                              for a in rng.sample(angles, s.label_count)])
+                for s in shapes
+            ]
+            counts = [
+                [rng.randint(0, 2 * mu) if rng.random() < 0.8 else 0 for mu in s.multiplicities()]
+                for s in shapes
+            ]
+            expected = MULT_ONE
+            for c, t in zip(classes, counts):
+                for v, k in zip(c.values, t):
+                    expected = expected * v.power(k)
+            assert _combined_value(MULTIPLICATIVE, classes, counts) == expected
+
+    def test_angles_wrap_past_one(self):
+        classes = [ClassSpec(shape([1], [2]), [me("3/4", 2), me("5/6", "1/2")])]
+        value = _combined_value(MULTIPLICATIVE, classes, [[3, 2]])
+        assert value == me(Fraction(9, 4) + Fraction(10, 6), 2)
+        assert value.angle == Fraction(11, 12) and value.magnitude == 2
+        assert _combined_value(MULTIPLICATIVE, classes, [[0, 0]]) == MULT_ONE
 
 
 def _bruteforce_relation(problem):
