@@ -2,7 +2,7 @@
 """Time the exhaustive genericity search on a ladder of fixed problems and
 print JSON.
 
-Usage: python scripts/search_ladder.py [--sizes 8-16] [--classify 12,14]
+Usage: python scripts/search_ladder.py [--sizes 8-16]
 
 The problems are the semisimple four-class family: at even n each class has
 (n - 2) / 2 labels of multiplicity 2 and two simple labels, with the
@@ -12,7 +12,7 @@ in a fresh child process, which reports the wall seconds of the call and
 the child's peak resident memory (ru_maxrss, MiB; it includes the import of
 the package).  Every problem is generic, so each search runs to m = n // 2.
 The `classify` rows give the verdict and genericity note at the default
-relation cap for the sizes named by `--classify`.
+relation cap for n = 12 and 14, where they are in the size range.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from deligne_simpson import (
     ADDITIVE, MULTIPLICATIVE, JnfShape, classify, generate_generic, is_generic,
 )
+
+# sizes whose classify verdict at the default cap is reported
+CLASSIFY_SIZES = (12, 14)
 
 
 def _family(n: int) -> tuple[JnfShape, ...]:
@@ -70,8 +73,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=_sizes, default=_sizes("8-16"),
                         help="n range, like 8-16 (even n only)")
-    parser.add_argument("--classify", type=lambda t: [int(n) for n in t.split(",") if n],
-                        default=[12, 14], help="sizes for classify at the default cap")
     parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -81,7 +82,7 @@ def main(argv=None) -> int:
         "family": "semisimple, 4 classes: (n - 2) / 2 labels of multiplicity 2, two simple",
         "seed": 0,
         "search": [_child(n, mode) for n in args.sizes for mode in (ADDITIVE, MULTIPLICATIVE)],
-        "classify_default_cap": [_classify(n) for n in args.classify],
+        "classify_default_cap": [_classify(n) for n in args.sizes if n in CLASSIFY_SIZES],
     }
     print(json.dumps(out, indent=1))
     return 0

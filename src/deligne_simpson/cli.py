@@ -543,17 +543,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_good)
 
     p = sub.add_parser("generic", help="genericity of the eigenvalue data")
-    add_common(p)
-    # None tells an explicit cap, which --generate refuses, from the default
-    p.add_argument("--relation-cap", type=int,
-                   help="bound on the genericity search size (default 10^8; "
-                   "not with --generate)")
+    add_common(p, relation_cap=True)
     p.add_argument("--generate", action="store_true",
                    help="generate an assignment for the problem's shapes that is "
                    "certified generic by construction (prime denominators above n^2)")
     p.add_argument("--seed", type=int, default=0, help="generation seed, a non-negative integer")
     p.add_argument("--output", help="write the generated problem document here")
-    p.set_defaults(func=_cmd_generic)
+    # None tells an explicit cap, which --generate refuses, from the default
+    p.set_defaults(func=_cmd_generic, relation_cap=None)
 
     p = sub.add_parser("special", help="search for repeated-block certificates")
     add_common(p, relation_cap=True)

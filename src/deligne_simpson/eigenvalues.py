@@ -403,13 +403,16 @@ def _key_totals(mults, keys, wrap: int):
         yield rows[-1][m]
 
 
-def _fold_key_sets(key_sets, wrap: int) -> set[int]:
-    """The residues of every sum of one key per set, mod wrap (the sets
-    hold residues already; no sets is the empty sum, {0})."""
-    acc, *rest = key_sets or [{0}]
-    for keys in rest:
+def _key_sums(key_sets, wrap: int):
+    """The residues mod wrap of every sum of one key per set (no sets is
+    the empty sum, 0).  All but the last set are folded into a set of
+    distinct residues, and the last step is a generator, so a consumer that
+    stops at the first common key builds nothing more."""
+    *head, last = key_sets or [{0}]
+    acc = {0}
+    for keys in head:
         acc = {(a + k) % wrap for a in acc for k in keys}
-    return acc
+    return ((a + k) % wrap for a in acc for k in last)
 
 
 def _cardinality_tables(problem: TupleProblem, keyed, cap: int):
@@ -454,21 +457,20 @@ def find_first_relation(
     the complement argument of `_cardinality_tables` it has m <= n // 2.
 
     Existence at m is decided on sets of distinct keys (`_key_totals`,
-    folded per side by `_fold_key_sets`); only at the first m where the
-    two sides meet are the first-seen tables of `_fold_classes` built, and
-    the witness is the first key of the left one that the right one holds."""
+    the right side's negated, summed per side by `_key_sums`); only at the
+    first m where the two sides meet are the first-seen tables of
+    `_fold_classes` built, and the witness is the first key of the left
+    one that the right one holds."""
     keys, _, wrap = keyed = _value_keys(problem)
     totals = [
         _key_totals(c.shape.multiplicities(), k, wrap) for c, k in zip(problem.classes, keys)
     ]
     for m, split, tables in _cardinality_tables(problem, keyed, cap):
         key_sets = [
-            next(t) if j < split else {-x % wrap for x in next(t)}
+            next(t) if j < split else {-x for x in next(t)}
             for j, t in enumerate(totals)
         ]
-        if _fold_key_sets(key_sets[:split], wrap).isdisjoint(
-            _fold_key_sets(key_sets[split:], wrap)
-        ):
+        if set(_key_sums(key_sets[:split], wrap)).isdisjoint(_key_sums(key_sets[split:], wrap)):
             continue
         left, right = tables(_fold_classes)
         key = next(k for k in left if k in right)

@@ -18,7 +18,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         ["classify_samples.py"],
         ["invariance_sweep.py", "0", "5"],
         ["kernel_ladder.py", "--sizes", "4", "--bits", "8", "--repeats", "1"],
-        ["search_ladder.py", "--sizes", "8", "--classify", "8"],
+        ["search_ladder.py", "--sizes", "8"],
     ],
     ids=["classify_samples", "invariance_sweep", "kernel_ladder", "search_ladder"],
 )
