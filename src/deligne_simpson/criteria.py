@@ -148,22 +148,26 @@ def _shrink(
     shapes: tuple[JnfShape, ...], chosen_labels: tuple[int, ...], n1: int
 ) -> tuple[JnfShape, ...]:
     """The reduction step proper, on a level already known to be reducible
-    to size n1: shrink the n - n1 smallest blocks of each chosen label."""
+    to size n1: shrink the n - n1 smallest blocks of each chosen label.
+
+    The other labels keep their Partition objects.  Decrementing a suffix
+    of descending parts leaves them descending; blocks of size 1 vanish,
+    and so does the label when all its blocks do."""
     drop = shapes[0].n - n1
     reduced = []
     for s, lab in zip(shapes, chosen_labels):
-        parts = list(s.blocks[lab].parts)
-        if len(parts) < drop:
+        parts = s.blocks[lab].parts
+        cut = len(parts) - drop
+        if cut < 0:
             raise CriteriaError(
                 f"internal: {len(parts)} blocks cannot absorb {drop} decrements"
             )
-        for i in range(len(parts) - drop, len(parts)):
-            parts[i] -= 1
-        new_blocks = []
-        for i, p in enumerate(s.blocks):
-            src = parts if i == lab else p.parts
-            if any(x > 0 for x in src):
-                new_blocks.append(Partition(src))
+        shrunk = parts[:cut] + tuple(p - 1 for p in parts[cut:] if p > 1)
+        new_blocks = list(s.blocks)
+        if shrunk:
+            new_blocks[lab] = Partition(shrunk)
+        else:
+            del new_blocks[lab]
         reduced_shape = JnfShape(new_blocks)
         if reduced_shape.n != n1:
             raise CriteriaError("internal: reduced shape has wrong size")

@@ -63,12 +63,16 @@ class MultiplicativeEigenvalue:
     magnitude: Fraction = Fraction(1)
 
     def __post_init__(self):
-        angle = Fraction(self.angle)
-        magnitude = Fraction(self.magnitude)
+        # a Fraction is kept as it is, and an angle already in [0, 1) too
+        magnitude = self.magnitude
+        if not isinstance(magnitude, Fraction):
+            magnitude = Fraction(magnitude)
+            object.__setattr__(self, "magnitude", magnitude)
         if magnitude <= 0:
             raise ProblemError(f"magnitude must be positive, got {magnitude}")
-        object.__setattr__(self, "angle", angle % 1)
-        object.__setattr__(self, "magnitude", magnitude)
+        angle = self.angle
+        if not isinstance(angle, Fraction) or not 0 <= angle < 1:
+            object.__setattr__(self, "angle", Fraction(angle) % 1)
 
     def __mul__(self, other: "MultiplicativeEigenvalue") -> "MultiplicativeEigenvalue":
         return MultiplicativeEigenvalue(
@@ -238,17 +242,21 @@ def _selection_vectors(mults: tuple[int, ...], m: int):
     return [t for t, _ in _selections(mults, m, [0] * len(mults))]
 
 
-def _selection_count(mults: tuple[int, ...], m: int) -> int:
-    # small dynamic program; avoids materializing vectors for the cap check
-    counts = [1] + [0] * m
+def _selection_counts(mults: tuple[int, ...], top: int) -> list[int]:
+    """counts[m] = the number of count vectors 0 <= t_i <= mults[i] with
+    sum m, for m = 0..top: the coefficients of prod_i (1 + x + ... +
+    x^mults[i]) up to x^top.  Multiplying by one factor is a running sum
+    of width mults[i] + 1."""
+    counts = [1] + [0] * top
     for mu in mults:
-        new = [0] * (m + 1)
-        for s in range(m + 1):
-            if counts[s]:
-                for t in range(0, min(mu, m - s) + 1):
-                    new[s + t] += counts[s]
+        new, window = [], 0
+        for s, c in enumerate(counts):
+            window += c
+            if s > mu:
+                window -= counts[s - mu - 1]
+            new.append(window)
         counts = new
-    return counts[m]
+    return counts
 
 
 def _coprime_base(numbers) -> list[int]:
@@ -428,11 +436,14 @@ def _cardinality_tables(problem: TupleProblem, keyed, cap: int):
     n // 2 is searched: the problem is consistent, so the complement mult -
     t of a relation at m is a relation at n - m, and the selection count at
     m equals the one at n - m.  The cap therefore fires at the same m as a
-    search over every m < n would."""
+    search over every m < n would.  Each class's selection counts for
+    every m are computed once per search, by `_selection_counts`."""
     keys, half, wrap = keyed
     mults = [c.shape.multiplicities() for c in problem.classes]
-    for m in range(1, problem.n // 2 + 1):
-        per_class = [_selection_count(mu, m) for mu in mults]
+    top = problem.n // 2
+    counts = [_selection_counts(mu, top) for mu in mults]
+    for m in range(1, top + 1):
+        per_class = [c[m] for c in counts]
         total = math.prod(per_class)
         if total > cap:
             raise RelationSearchCapError(

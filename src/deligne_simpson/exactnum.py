@@ -40,13 +40,31 @@ def parse_rational(text) -> Fraction:
         raise ExactNumberError(f"refusing float {text!r}; pass a string like '1/3'")
     if not isinstance(text, str):
         raise ExactNumberError(f"cannot parse {text!r} as a rational")
-    if not _RATIONAL.fullmatch(text.strip()):
+    m = _RATIONAL.fullmatch(text.strip())
+    if not m:
         raise ExactNumberError(f"malformed rational {text!r}: expected p/q, an integer "
                                "or a decimal such as 1.5 or 1e-3 (exponent <= 3 digits)")
+    ratio = _group_ratio(m)
+    if ratio is not None:
+        return Fraction(*ratio)
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ExactNumberError(f"malformed rational {text!r}: {exc}") from exc
+
+
+def _group_ratio(m) -> tuple[int, int] | None:
+    """(p, q) with q > 0, read off the groups of a grammar match of an
+    integer or p/q text.  None for a decimal, a zero denominator or a part
+    past int's digit limit: those take Fraction's path and its errors."""
+    if m["int"] or m["den"]:
+        try:
+            p, q = int(m["int"] or m["num"]), int(m["den"] or 1)
+        except ValueError:  # past int's digit limit
+            return None
+        if q:
+            return (-p if m["sign"] == "-" else p), q
+    return None
 
 
 def _ratio(text) -> tuple[int, int]:
@@ -56,13 +74,9 @@ def _ratio(text) -> tuple[int, int]:
     goes through parse_rational."""
     if isinstance(text, str):
         m = _RATIONAL.fullmatch(text.strip())
-        if m is not None and (m["int"] or m["den"]):
-            try:
-                p, q = int(m["int"] or m["num"]), int(m["den"] or 1)
-            except ValueError:  # past int's digit limit
-                q = 0
-            if q:
-                return (-p if m["sign"] == "-" else p), q
+        ratio = m and _group_ratio(m)
+        if ratio:
+            return ratio
     elif isinstance(text, int) and not isinstance(text, bool):
         return text, 1
     x = parse_rational(text)

@@ -6,6 +6,10 @@ distinct eigenvalue label.  This module provides the two class invariants
 used throughout (the orbit dimension d and the minimal shifted rank r),
 rank sequences of shifted powers, and the orbit-closure (subordination)
 partial order on classes with attached eigenvalues.
+
+Partitions and shapes are immutable, so their size, block count and
+centralizer dimension are computed once, at construction, and stored;
+d and r read them without rebuilding anything.
 """
 
 from __future__ import annotations
@@ -22,13 +26,22 @@ class Partition:
     """Weakly decreasing tuple of positive integers.
 
     Zeros are dropped and parts sorted on construction; an empty result is
-    rejected, so every Partition has positive size.
+    rejected, so every Partition has positive size.  `size` and
+    `centralizer_dimension` are fixed at construction.
+
+    `centralizer_dimension` is the sum of c^2 over the conjugate parts c,
+    the commutant dimension of one eigenvalue's Jordan blocks, and it
+    equals sum_i (2i - 1) * parts[i - 1] (i from 1 over the descending
+    parts): c_k = #{i : parts_i >= k}, so sum_k c_k^2 = sum over pairs
+    (i, j) of min(parts_i, parts_j) = parts_max(i, j), and 2i - 1 pairs
+    have max(i, j) = i.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "size", "centralizer_dimension")
 
     def __init__(self, parts: Iterable[int]):
         cleaned = []
+        size = 0
         for p in parts:
             if not isinstance(p, int):
                 raise JnfError(f"partition part {p!r} is not an integer")
@@ -36,16 +49,20 @@ class Partition:
                 raise JnfError(f"partition part {p} is negative")
             if p > 0:
                 cleaned.append(p)
+                size += p
         if not cleaned:
             raise JnfError("partition must have at least one positive part")
-        object.__setattr__(self, "parts", tuple(sorted(cleaned, reverse=True)))
+        cleaned.sort(reverse=True)
+        centralizer, weight = 0, 1  # weight 2i - 1 at the i-th part
+        for p in cleaned:
+            centralizer += weight * p
+            weight += 2
+        object.__setattr__(self, "parts", tuple(cleaned))
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "centralizer_dimension", centralizer)
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
 
     @property
     def largest(self) -> int:
@@ -104,19 +121,29 @@ class JnfShape:
     """Jordan shape: one block-size partition per distinct-eigenvalue label.
 
     Label order is the canonical order used for every tie-break downstream;
-    it is preserved exactly as given.
+    it is preserved exactly as given.  `n`, `max_block_count` and
+    `centralizer_dimension` (the commutant dimension of a matrix realizing
+    the shape, summed over the labels) are fixed at construction.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "n", "max_block_count", "centralizer_dimension")
 
     def __init__(self, blocks: Iterable[Partition]):
         blocks = tuple(blocks)
         if not blocks:
             raise JnfError("shape needs at least one eigenvalue label")
+        n = top = centralizer = 0
         for b in blocks:
             if not isinstance(b, Partition):
                 raise JnfError(f"shape entries must be Partition, got {b!r}")
+            n += b.size
+            if len(b.parts) > top:
+                top = len(b.parts)
+            centralizer += b.centralizer_dimension
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "max_block_count", top)
+        object.__setattr__(self, "centralizer_dimension", centralizer)
 
     def __setattr__(self, name, value):
         raise AttributeError("JnfShape is immutable")
@@ -124,10 +151,6 @@ class JnfShape:
     @classmethod
     def of(cls, *block_lists: Iterable[int]) -> "JnfShape":
         return cls(Partition(b) for b in block_lists)
-
-    @property
-    def n(self) -> int:
-        return sum(p.size for p in self.blocks)
 
     @property
     def label_count(self) -> int:
@@ -138,10 +161,6 @@ class JnfShape:
 
     def block_count(self, label: int) -> int:
         return len(self.blocks[label])
-
-    @property
-    def max_block_count(self) -> int:
-        return max(len(p) for p in self.blocks)
 
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(p.size for p in self.blocks)
@@ -200,15 +219,10 @@ def r_of(shape: JnfShape) -> int:
     return shape.n - shape.max_block_count
 
 
-def shape_centralizer_dimension(shape: JnfShape) -> int:
-    """Dimension of the commutant of a matrix realizing the shape."""
-    return sum(sum(c * c for c in p.conjugate()) for p in shape.blocks)
-
-
 def d_of(shape: JnfShape) -> int:
     """Dimension of the conjugacy class: n^2 minus the commutant dimension."""
     n = shape.n
-    return n * n - shape_centralizer_dimension(shape)
+    return n * n - shape.centralizer_dimension
 
 
 class ClassSpec:

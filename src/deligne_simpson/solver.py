@@ -21,7 +21,7 @@ from .eigenvalues import (
     TupleProblem,
     check_consistency,
     DEFAULT_RELATION_CAP,
-    is_generic,
+    find_first_relation,
 )
 from .jnf_core import ClassSpec, is_subordinate
 from .special import SpecialnessReport, classify_specialness
@@ -100,7 +100,9 @@ def classify(
     genericity: GenericityResult | None
     note: str | None = None
     try:
-        genericity = is_generic(problem, cap=relation_cap)
+        # consistency is checked above, so the search alone decides
+        witness = find_first_relation(problem, cap=relation_cap)
+        genericity = GenericityResult(generic=witness is None, witness=witness)
     except RelationSearchCapError as exc:
         genericity = None
         note = f"genericity undetermined: {exc}"

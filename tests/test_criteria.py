@@ -5,10 +5,13 @@ import random
 import pytest
 
 from deligne_simpson import (
+    JnfShape,
+    Partition,
     is_good,
     psi_reduce,
     rigidity_report,
 )
+from deligne_simpson import criteria
 from deligne_simpson.criteria import (
     CriteriaError,
     PsiPreconditionError,
@@ -194,3 +197,54 @@ class TestIsGood:
             outcomes.add(psi_reduce(level, chosen_labels=choice).shapes)
         assert (shape([2]), shape([2]), shape([1], [1])) in outcomes
         assert (shape([2]), shape([1], [1]), shape([1], [1])) in outcomes
+
+
+def _reference_shrink(shapes, chosen_labels, n1):
+    """The reduction step written plainly: decrement the chosen label's
+    smallest blocks in a list, then rebuild every label's Partition,
+    dropping a label with no positive part."""
+    drop = shapes[0].n - n1
+    reduced = []
+    for s, lab in zip(shapes, chosen_labels):
+        parts = list(s.blocks[lab].parts)
+        assert len(parts) >= drop
+        for i in range(len(parts) - drop, len(parts)):
+            parts[i] -= 1
+        new_blocks = []
+        for i, p in enumerate(s.blocks):
+            src = parts if i == lab else p.parts
+            if any(x > 0 for x in src):
+                new_blocks.append(Partition(src))
+        reduced.append(JnfShape(new_blocks))
+    return tuple(reduced)
+
+
+class TestShrinkAgainstReference:
+    def test_every_visited_level_of_kappa_two_tuples(self, monkeypatch):
+        """Every reduction that `is_good` and `_explore_branches` make on
+        seeded kappa = 2 tuples gives the reference's shapes, and the
+        labels it does not shrink keep their Partition objects."""
+        shrink = criteria._shrink
+        seen = {"levels": 0, "vanished": 0}
+
+        def checked(shapes, chosen_labels, n1):
+            got = shrink(shapes, chosen_labels, n1)
+            assert got == _reference_shrink(shapes, chosen_labels, n1), shapes
+            for s, lab, r in zip(shapes, chosen_labels, got):
+                kept = s.blocks[:lab] + s.blocks[lab + 1:]
+                assert all(any(p is q for q in r.blocks) for p in kept)
+                seen["vanished"] += r.label_count < s.label_count
+            seen["levels"] += 1
+            return got
+
+        monkeypatch.setattr(criteria, "_shrink", checked)
+        rng = random.Random("shrink-reference")
+        tuples = 0
+        while tuples < 300:
+            n = rng.randint(2, 9)
+            shapes = random_shape_tuple(rng, n, rng.randint(3, 4))
+            if rigidity_report(shapes).kappa != 2:
+                continue
+            tuples += 1
+            is_good(shapes, exhaustive_ties=True)
+        assert seen["levels"] > 2000 and seen["vanished"] > 1000

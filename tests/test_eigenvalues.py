@@ -37,7 +37,7 @@ from deligne_simpson.eigenvalues import (
     _combined_value,
     _fold_classes,
     _primes_from,
-    _selection_count,
+    _selection_counts,
     _selection_vectors,
     _value_keys,
     find_first_relation,
@@ -382,6 +382,15 @@ class TestRelationCap:
         )
         assert find_first_relation(problem, cap=largest) is None
 
+    def test_selection_counts_match_enumeration(self):
+        # one pass gives every m's count; enumeration is the reference
+        rng = random.Random("selection-counts")
+        for _ in range(300):
+            mults = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 5)))
+            top = rng.randint(0, sum(mults) + 2)
+            counts = _selection_counts(mults, top)
+            assert counts == [len(_selection_vectors(mults, m)) for m in range(top + 1)]
+
 
 def _dict_fold_search(problem, cap=DEFAULT_RELATION_CAP):
     """The relation search with first-seen tables at every m, as it ran
@@ -389,7 +398,7 @@ def _dict_fold_search(problem, cap=DEFAULT_RELATION_CAP):
     the verdict and the cap error of `find_first_relation`."""
     keys, half, wrap = _value_keys(problem)
     for m in range(1, problem.n // 2 + 1):
-        per_class = [_selection_count(c.shape.multiplicities(), m) for c in problem.classes]
+        per_class = [_selection_counts(c.shape.multiplicities(), m)[m] for c in problem.classes]
         total = math.prod(per_class)
         if total > cap:
             raise RelationSearchCapError(
@@ -452,7 +461,7 @@ class TestExistenceSearchAgainstDictFold:
                     continue
             checked += 1
             largest = max(
-                math.prod(_selection_count(c.shape.multiplicities(), m) for c in problem.classes)
+                math.prod(_selection_counts(c.shape.multiplicities(), m)[m] for c in problem.classes)
                 for m in range(1, n // 2 + 1)
             )
             cap = rng.choice([DEFAULT_RELATION_CAP, largest, rng.randint(1, largest)])
@@ -593,6 +602,17 @@ class TestMultiplicativeArithmetic:
     def test_magnitude_must_be_positive(self):
         with pytest.raises(ProblemError):
             MultiplicativeEigenvalue(Fraction(0), Fraction(-1))
+
+    def test_normalized_fields(self):
+        # Fractions in range are kept; anything else becomes a Fraction in [0, 1)
+        angle, magnitude = Fraction(2, 3), Fraction(5, 7)
+        v = MultiplicativeEigenvalue(angle, magnitude)
+        assert v.angle is angle and v.magnitude is magnitude
+        for raw, wrapped in ((Fraction(5, 3), Fraction(2, 3)), (Fraction(-1, 4), Fraction(3, 4)),
+                             (1, Fraction(0)), (-2, Fraction(0)), (Fraction(0), Fraction(0))):
+            w = MultiplicativeEigenvalue(raw, 3)
+            assert type(w.angle) is Fraction and w.angle == wrapped
+            assert type(w.magnitude) is Fraction and w.magnitude == 3
 
 
 class TestReducedMultiplicityProduct:

@@ -302,3 +302,25 @@ def test_refusals_are_parse_rationals(name):
         with pytest.raises(ExactNumberError) as got:
             GaussianRational(*args)
         assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("text", TEXTS)
+def test_parse_rational_matches_fraction(text):
+    """Integers and p/q are read off the grammar's groups; Fraction's own
+    parser is the reference for every accepted text."""
+    got = parse_rational(text)
+    assert type(got) is Fraction and got == Fraction(text.strip())
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["zero denominator", "negative over zero", "zero over zero", "digit limit",
+     "digit limit denominator"],
+)
+def test_group_texts_keep_fractions_errors(name):
+    bad = BAD_TEXTS[name]
+    with pytest.raises((ValueError, ZeroDivisionError)) as reference:
+        Fraction(bad.strip())
+    with pytest.raises(ExactNumberError) as got:
+        parse_rational(bad)
+    assert str(got.value) == f"malformed rational {bad!r}: {reference.value}"

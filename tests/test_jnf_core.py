@@ -92,6 +92,42 @@ class TestInvariants:
         assert d_of(shape([1, 1], [2])) == 10
         assert d_of(shape([1, 1])) == 0
 
+    def test_partition_invariants_exhaustive_up_to_12(self):
+        # reference: the size as a sum and the commutant dimension as the
+        # sum of squared conjugate parts
+        for total in range(1, 13):
+            for parts in partitions_of(total):
+                p = Partition(parts)
+                assert p.size == sum(parts) == total
+                assert p.centralizer_dimension == sum(c * c for c in p.conjugate())
+
+    def test_shape_invariants_match_the_formulas(self):
+        rng = random.Random("shape-invariants")
+        for _ in range(500):
+            n = rng.randint(1, 14)
+            s = random_shape(rng, n, max_labels=5)
+            blocks = s.blocks
+            assert s.n == sum(sum(p.parts) for p in blocks) == n
+            assert s.max_block_count == max(len(p) for p in blocks)
+            commutant = sum(sum(c * c for c in p.conjugate()) for p in blocks)
+            assert s.centralizer_dimension == commutant
+            assert d_of(s) == n * n - commutant
+            assert r_of(s) == n - max(len(p) for p in blocks)
+
+    @pytest.mark.parametrize("name", ["parts", "size", "centralizer_dimension"])
+    def test_partition_slots_are_read_only(self, name):
+        p = Partition([2, 1])
+        with pytest.raises(AttributeError):
+            setattr(p, name, 5)
+        assert (p.parts, p.size, p.centralizer_dimension) == ((2, 1), 3, 5)
+
+    @pytest.mark.parametrize("name", ["blocks", "n", "max_block_count", "centralizer_dimension"])
+    def test_shape_slots_are_read_only(self, name):
+        s = shape([2, 1], [1])
+        with pytest.raises(AttributeError):
+            setattr(s, name, 7)
+        assert (s.n, s.max_block_count, s.centralizer_dimension) == (4, 2, 6)
+
     def test_d_of_matches_commutant_solve_small(self):
         # exact independent route: orbit dimension = rank of X -> [G, X]
         # at an explicit Jordan matrix realizing the shape

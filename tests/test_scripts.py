@@ -19,8 +19,10 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         ["invariance_sweep.py", "0", "5"],
         ["kernel_ladder.py", "--sizes", "4", "--bits", "8", "--repeats", "1"],
         ["search_ladder.py", "--sizes", "8"],
+        ["phase_split.py", "--workload", "screens", "--rounds", "5"],
     ],
-    ids=["classify_samples", "invariance_sweep", "kernel_ladder", "search_ladder"],
+    ids=["classify_samples", "invariance_sweep", "kernel_ladder", "search_ladder",
+         "phase_split"],
 )
 def test_script_exits_zero(argv):
     result = subprocess.run(

@@ -16,11 +16,14 @@ from deligne_simpson import (
     ProblemError,
     TupleProblem,
     apply_subordinate_witness,
+    check_consistency,
     classify,
     generate_generic,
+    is_generic,
     is_good,
     rigidity_report,
 )
+from deligne_simpson import eigenvalues, solver
 from deligne_simpson.linalg import Matrix
 from deligne_simpson.witness import MatrixTuple
 
@@ -74,6 +77,22 @@ class TestClassify:
         classes = [ClassSpec(shape([1]), [gr(1)]) for _ in range(3)]
         with pytest.raises(ProblemError):
             classify(TupleProblem(ADDITIVE, 1, classes))
+
+    def test_consistency_is_checked_once(self, monkeypatch, rigid_n2_problem, n4_special_problem):
+        # the genericity result comes from the relation search alone
+        calls = []
+
+        def counted(problem):
+            calls.append(problem)
+            return check_consistency(problem)
+
+        monkeypatch.setattr(solver, "check_consistency", counted)
+        monkeypatch.setattr(eigenvalues, "check_consistency", counted)
+        for problem in (rigid_n2_problem, n4_special_problem):
+            calls.clear()
+            verdict = classify(problem)
+            assert calls.count(problem) == 1
+            assert verdict.genericity == is_generic(problem)
 
     def test_every_decided_verdict_cites_a_rule(self, nilpotent_n2_problem, rigid_n2_problem):
         for problem in (nilpotent_n2_problem, rigid_n2_problem):
