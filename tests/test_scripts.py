@@ -19,7 +19,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         ["invariance_sweep.py", "0", "5"],
         ["kernel_ladder.py", "--sizes", "4", "--bits", "8", "--repeats", "1"],
         ["search_ladder.py", "--sizes", "8"],
-        ["phase_split.py", "--workload", "screens", "--rounds", "5"],
+        ["phase_split.py", "--workload", "screens"],
     ],
     ids=["classify_samples", "invariance_sweep", "kernel_ladder", "search_ladder",
          "phase_split"],
