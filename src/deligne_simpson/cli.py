@@ -19,20 +19,19 @@ from .criteria import PsiTrace, TieVerdictError, is_good, rigidity_report
 from .eigenvalues import (
     ADDITIVE,
     DEFAULT_RELATION_CAP,
-    MULTIPLICATIVE,
     GenericAssignmentError,
-    MultiplicativeEigenvalue,
     NonGenericityRelation,
     ProblemError,
     RelationSearchCapError,
     TupleProblem,
+    _mode_of,
     generate_generic,
     is_generic,
 )
-from .exactnum import ExactNumberError, GaussianRational, format_rational, parse_rational
+from .exactnum import ExactNumberError, format_rational, parse_rational
 from .jnf_core import ClassSpec, JnfError, JnfShape, Partition
 from .linalg import LinalgError, Matrix
-from .solver import UNKNOWN, Verdict, apply_subordinate_witness, classify
+from .solver import UNKNOWN, Verdict, _require_consistency, apply_subordinate_witness, classify
 from .special import SpecialSearchError, classify_specialness
 from .witness import (
     DeformationError,
@@ -78,36 +77,21 @@ def _rational(text, path: str):
         raise CliInputError(f"{path}: {exc}") from exc
 
 
-def _parse_value(doc, mode: str, path: str):
+def _parse_value(doc, mode, path: str):
     _expect(isinstance(doc, dict), path, "must be an object")
-    if mode == ADDITIVE:
-        _expect(
-            set(doc) <= {"re", "im"} and "re" in doc,
-            path,
-            'additive values use {"re": "p/q", "im": "p/q"}',
-        )
-        try:
-            return GaussianRational(doc["re"], doc.get("im", "0"))
-        except ExactNumberError as exc:
-            raise CliInputError(f"{path}: {exc}") from exc
-    _expect(
-        set(doc) <= {"angle", "magnitude"} and "angle" in doc,
-        path,
-        'multiplicative values use {"angle": "p/q", "magnitude": "p/q"}',
-    )
+    key, other, default = mode.fields
+    _expect(key in doc and doc.keys() <= {key, other}, path, mode.hint)
     try:
-        return MultiplicativeEigenvalue(
-            _rational(doc["angle"], path), _rational(doc.get("magnitude", "1"), path)
-        )
-    except ProblemError as exc:
+        return mode.value_type(doc[key], doc.get(other, default))
+    except (ExactNumberError, ProblemError) as exc:
         raise CliInputError(f"{path}: {exc}") from exc
 
 
 def parse_problem(doc) -> TupleProblem:
     """Validate and convert a problem document; errors carry JSON paths."""
     _expect(isinstance(doc, dict), "$", "problem document must be an object")
-    mode = doc.get("mode")
-    _expect(mode in (ADDITIVE, MULTIPLICATIVE), "mode", f"must be '{ADDITIVE}' or '{MULTIPLICATIVE}'")
+    mode = _mode_of(doc.get("mode"))
+    _expect(mode is not None, "mode", "must be 'additive' or 'multiplicative'")
     n = doc.get("n")
     _expect(_is_int(n) and n >= 1, "n", "must be a positive integer")
     classes_doc = doc.get("classes")
@@ -155,18 +139,6 @@ def parse_problem(doc) -> TupleProblem:
         raise CliInputError(f"$: {exc}") from exc
 
 
-def _value_to_json(value):
-    if isinstance(value, GaussianRational):
-        re, im = value.format_parts()
-        return {"re": re, "im": im}
-    if isinstance(value, MultiplicativeEigenvalue):
-        return {
-            "angle": format_rational(value.angle),
-            "magnitude": format_rational(value.magnitude),
-        }
-    raise CliInputError(f"unserializable value {value!r}")
-
-
 def serialize_problem(problem: TupleProblem) -> dict:
     return {
         "mode": problem.mode,
@@ -175,7 +147,7 @@ def serialize_problem(problem: TupleProblem) -> dict:
             {
                 "eigenvalues": [
                     {
-                        "value": _value_to_json(v),
+                        "value": dict(zip(problem.mode.fields, v.format_parts())),
                         "multiplicity": c.shape.multiplicity(i),
                         "blocks": list(c.shape.blocks[i].parts),
                     }
@@ -190,8 +162,8 @@ def serialize_problem(problem: TupleProblem) -> dict:
 def _parse_matrices(doc) -> tuple[str, list[Matrix]]:
     """Mode and matrices of a witness document, not yet a tuple."""
     _expect(isinstance(doc, dict), "$", "witness document must be an object")
-    mode = doc.get("mode")
-    _expect(mode in (ADDITIVE, MULTIPLICATIVE), "mode", "must be a known mode")
+    mode = _mode_of(doc.get("mode"))
+    _expect(mode is not None, "mode", "must be a known mode")
     n = doc.get("n")
     _expect(_is_int(n) and n >= 1, "n", "must be a positive integer")
     mats_doc = doc.get("matrices")
@@ -233,7 +205,7 @@ def serialize_witness(t: MatrixTuple) -> dict:
         "n": t.n,
         "matrices": [
             [
-                [_value_to_json(x) for x in row]
+                [dict(zip(ADDITIVE.fields, x.format_parts())) for x in row]
                 for row in m.rows
             ]
             for m in t.matrices
@@ -409,6 +381,7 @@ def _cmd_generic(args) -> tuple[int, dict]:
 
 def _cmd_special(args) -> tuple[int, dict]:
     problem = _load_problem(args.problem)
+    _require_consistency(problem)
     result = classify_specialness(problem, relation_cap=args.relation_cap)
     report = {
         "command": "special",

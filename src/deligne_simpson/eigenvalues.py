@@ -8,6 +8,11 @@ no selection of equally many eigenvalues from every class (respecting
 multiplicities, fewer than n per class) sums to zero, respectively
 multiplies to one.
 
+The mode objects `ADDITIVE` and `MULTIPLICATIVE` are the one home of
+everything that differs between the modes, from the value type to the
+matrix relation; each is a `str` equal to its document string, and the
+rest of the package asks a problem's mode and never compares it.
+
 The relation searches (`find_first_relation`, `relation_counts`) never
 combine eigenvalue objects.  They share one plan, which maps every value
 once per search to an exact integer key and folds keys: additive values
@@ -29,11 +34,8 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress
 
-from .exactnum import GR_ZERO, GaussianRational, format_rational
+from .exactnum import GR_ZERO, GaussianRational, format_rational, parse_rational
 from .jnf_core import ClassSpec, JnfError, JnfShape
-
-ADDITIVE = "additive"
-MULTIPLICATIVE = "multiplicative"
 
 DEFAULT_RELATION_CAP = 10**8
 # fresh denominators tried by generate_generic before it gives up
@@ -63,16 +65,22 @@ class MultiplicativeEigenvalue:
     magnitude: Fraction = Fraction(1)
 
     def __post_init__(self):
-        # a Fraction is kept as it is, and an angle already in [0, 1) too
+        # other parts are read by parse_rational, as GaussianRational reads
+        # them; a Fraction is kept as it is, and an angle in [0, 1) too.
+        # Signs and ranges are read off the numerator: denominators are > 0
         magnitude = self.magnitude
         if not isinstance(magnitude, Fraction):
-            magnitude = Fraction(magnitude)
+            magnitude = parse_rational(magnitude)
             object.__setattr__(self, "magnitude", magnitude)
-        if magnitude <= 0:
+        if magnitude.numerator <= 0:
             raise ProblemError(f"magnitude must be positive, got {magnitude}")
         angle = self.angle
-        if not isinstance(angle, Fraction) or not 0 <= angle < 1:
-            object.__setattr__(self, "angle", Fraction(angle) % 1)
+        if not isinstance(angle, Fraction):
+            angle = parse_rational(angle)
+        if not 0 <= angle.numerator < angle.denominator:
+            angle %= 1
+        if angle is not self.angle:
+            object.__setattr__(self, "angle", angle)
 
     def __mul__(self, other: "MultiplicativeEigenvalue") -> "MultiplicativeEigenvalue":
         return MultiplicativeEigenvalue(
@@ -88,6 +96,10 @@ class MultiplicativeEigenvalue:
     def is_identity(self) -> bool:
         return self.angle == 0 and self.magnitude == 1
 
+    def format_parts(self) -> tuple[str, str]:
+        """The angle and the magnitude as "p/q" (or "p") in lowest terms."""
+        return format_rational(self.angle), format_rational(self.magnitude)
+
     def __str__(self):
         return f"e(2pi i {format_rational(self.angle)})*{format_rational(self.magnitude)}"
 
@@ -95,19 +107,138 @@ class MultiplicativeEigenvalue:
 MULT_ONE = MultiplicativeEigenvalue(Fraction(0))
 
 
+class _Mode(str):
+    """A mode's document string with its facts: the value type and its
+    document keys (required, optional, default), the relation's neutral
+    element, and methods described where they are used, in
+    `_assemble_assignment`, `_certify_generic` and `witness`."""
+
+    __slots__ = ()
+
+
+class _Additive(_Mode):
+    """Sum zero in gl(n): Gaussian rationals, combined by sums."""
+
+    value_type = GaussianRational
+    neutral = GR_ZERO
+    fields = ("re", "im", 0)
+    hint = 'additive values use {"re": "p/q", "im": "p/q"}'
+    invertible = False
+    # a divisor g > 1 of every mu_s makes t_s = mu_s / g a relation
+    gcd_forces_relation = True
+
+    def combine(self, terms):
+        return sum((v * k for v, k in terms), GR_ZERO)
+
+    def key_parts(self, values):
+        den = math.lcm(*(x.denominator for v in values for x in (v.im, v.re)))
+        return 1, [0] * len(values), [(_scaled(v.im, den), _scaled(v.re, den)) for v in values]
+
+    def absorbing(self, s: Fraction, mu: int) -> int:
+        return 0
+
+    def split(self, values):
+        return [(v.re, v.im) for v in values]
+
+    def certifies(self, k: Fraction, other, mults) -> bool:
+        return not k and not other and reduce(math.gcd, mults) == 1
+
+    def residual(self, matrices):
+        return sum(matrices[1:], matrices[0])
+
+    def outer_factors(self, matrices):
+        return None
+
+    def bound(self, eps: Fraction, steps) -> Fraction:
+        return eps * eps * sum((rho for *_, rho in steps), Fraction(0))
+
+
+class _Multiplicative(_Mode):
+    """Product one in GL(n): angle/magnitude pairs, combined by products."""
+
+    value_type = MultiplicativeEigenvalue
+    neutral = MULT_ONE
+    fields = ("angle", "magnitude", Fraction(1))
+    hint = 'multiplicative values use {"angle": "p/q", "magnitude": "p/q"}'
+    invertible = True
+    gcd_forces_relation = False
+
+    def combine(self, terms):
+        # built once, from the sum of the angles and the product of the magnitudes
+        return MultiplicativeEigenvalue(
+            sum(v.angle * k for v, k in terms), math.prod(v.magnitude**k for v, k in terms)
+        )
+
+    def key_parts(self, values):
+        modulus = math.lcm(*(v.angle.denominator for v in values))
+        mags = [v.magnitude for v in values]
+        base = _coprime_base({x for q in mags for x in (q.numerator, q.denominator)})
+        digits = [
+            [p - q for p, q in zip(_exponents(x.numerator, base), _exponents(x.denominator, base))]
+            for x in mags
+        ]
+        return modulus, [_scaled(v.angle, modulus) for v in values], digits
+
+    def absorbing(self, s: Fraction, mu: int) -> int:
+        k = math.ceil(s)
+        while math.gcd(k, mu) != 1 and k < math.ceil(s) + mu:
+            k += 1
+        return k
+
+    def split(self, values):
+        return [(v.angle, v.magnitude != 1) for v in values]
+
+    def certifies(self, k: Fraction, other, mults) -> bool:
+        return k.denominator == 1 and math.gcd(k.numerator, mults[-1]) == 1
+
+    def residual(self, matrices):
+        identity = type(matrices[0]).identity(matrices[0].nrows)
+        return math.prod(matrices, start=identity) - identity
+
+    def outer_factors(self, matrices):
+        # d/d eps of the product: the j-th factor's change sits between the
+        # product of the factors before it and the product of those after
+        identity = type(matrices[0]).identity(matrices[0].nrows)
+        prefix, suffix = [identity], [identity]
+        for a, b in zip(matrices[:-1], reversed(matrices[1:])):
+            prefix.append(prefix[-1] * a)
+            suffix.append(b * suffix[-1])
+        return tuple(zip(prefix, reversed(suffix)))
+
+    def bound(self, eps: Fraction, steps) -> Fraction:
+        a_norms = [na for _, _, _, na, _ in steps]
+        terms = [(na, (d + (m * x - x * m)).norm_rowsum(), rho) for m, d, x, na, rho in steps]
+        full = math.prod(a + eps * f + eps * eps * rho for a, f, rho in terms)
+        linear = sum(
+            f * math.prod(a_norms[:j] + a_norms[j + 1 :]) for j, (_, f, _) in enumerate(terms)
+        )
+        return full - math.prod(a_norms) - eps * linear
+
+
+ADDITIVE = _Additive("additive")
+MULTIPLICATIVE = _Multiplicative("multiplicative")
+_MODES = {m: m for m in (ADDITIVE, MULTIPLICATIVE)}
+
+
+def _mode_of(mode) -> _Mode | None:
+    """The mode object equal to `mode`, or None (also for unhashables)."""
+    return _MODES.get(mode) if isinstance(mode, str) else None
+
+
 class TupleProblem:
     """A full problem instance: mode, size, and one class per puncture.
 
-    Construction validates the document invariants: consistent mode/value
-    types, every class of total size n, and distinct eigenvalues within a
-    class (ClassSpec enforces the last one).
+    Construction validates the document invariants: a known mode (stored
+    as its mode object) and values of its type, every class of total size
+    n, and distinct eigenvalues within a class (ClassSpec enforces that).
     """
 
     __slots__ = ("mode", "n", "classes")
 
     def __init__(self, mode: str, n: int, classes):
         classes = tuple(classes)
-        if mode not in (ADDITIVE, MULTIPLICATIVE):
+        known = _mode_of(mode)
+        if known is None:
             raise ProblemError(f"unknown mode {mode!r}")
         if not classes:
             raise ProblemError("a problem needs at least one class")
@@ -118,13 +249,12 @@ class TupleProblem:
                 raise ProblemError(
                     f"class {j}: eigenvalue multiplicities sum to {c.n}, expected {n}"
                 )
-            want = GaussianRational if mode == ADDITIVE else MultiplicativeEigenvalue
             for v in c.values:
-                if not isinstance(v, want):
+                if not isinstance(v, known.value_type):
                     raise ProblemError(
                         f"class {j}: value {v!r} does not match mode {mode!r}"
                     )
-        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "mode", known)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "classes", classes)
 
@@ -154,33 +284,18 @@ class TupleProblem:
         return f"TupleProblem({self.mode}, n={self.n}, {len(self.classes)} classes)"
 
 
-def _combined_value(mode: str, classes, counts) -> GaussianRational | MultiplicativeEigenvalue:
+def _combined_value(mode: _Mode, classes, counts) -> GaussianRational | MultiplicativeEigenvalue:
     """The sum of k * v (additive), respectively the product of v ** k
     (multiplicative), where class j's i-th eigenvalue v enters k =
-    counts[j][i] times.  A product is built once, from the sum of the
-    angles and the product of the magnitudes."""
-    terms = [(v, k) for c, t in zip(classes, counts) for v, k in zip(c.values, t)]
-    if mode == ADDITIVE:
-        total = GR_ZERO
-        for v, k in terms:
-            total = total + v * k
-        return total
-    return MultiplicativeEigenvalue(
-        sum(v.angle * k for v, k in terms), math.prod(v.magnitude**k for v, k in terms)
-    )
-
-
-def _is_identity(value) -> bool:
-    if isinstance(value, MultiplicativeEigenvalue):
-        return value.is_identity()
-    return value.is_zero()
+    counts[j][i] times."""
+    return mode.combine([(v, k) for c, t in zip(classes, counts) for v, k in zip(c.values, t)])
 
 
 def check_consistency(problem: TupleProblem) -> bool:
     """Sum of all eigenvalues (with multiplicity) is zero, respectively the
     product is one."""
     counts = [c.shape.multiplicities() for c in problem.classes]
-    return _is_identity(_combined_value(problem.mode, problem.classes, counts))
+    return _combined_value(problem.mode, problem.classes, counts) == problem.mode.neutral
 
 
 # -- non-genericity relations ------------------------------------------------
@@ -209,7 +324,8 @@ class NonGenericityRelation:
                 return False
         if not 1 <= self.m < problem.n:
             return False
-        return _is_identity(_combined_value(self.mode, problem.classes, self.counts))
+        mode = problem.mode
+        return _combined_value(mode, problem.classes, self.counts) == mode.neutral
 
 
 @dataclass(frozen=True)
@@ -309,21 +425,7 @@ def _value_keys(problem: TupleProblem) -> tuple[list[list[int]], int, int]:
     adding keys modulo wrap = L * R adds values, and two selections' keys
     are equal exactly when their values are.  Keys are represented in
     [-half, wrap - half) with half = (R - 1) / 2."""
-    values = [v for c in problem.classes for v in c.values]
-    if problem.mode == ADDITIVE:
-        modulus = 1
-        den = math.lcm(*(x.denominator for v in values for x in (v.im, v.re)))
-        angles = [0] * len(values)
-        digits = [(_scaled(v.im, den), _scaled(v.re, den)) for v in values]
-    else:
-        modulus = math.lcm(*(v.angle.denominator for v in values))
-        angles = [_scaled(v.angle, modulus) for v in values]
-        mags = [v.magnitude for v in values]
-        base = _coprime_base({x for q in mags for x in (q.numerator, q.denominator)})
-        digits = [
-            [p - q for p, q in zip(_exponents(x.numerator, base), _exponents(x.denominator, base))]
-            for x in mags
-        ]
+    modulus, angles, digits = problem.mode.key_parts([v for c in problem.classes for v in c.values])
     weights = [mu for c in problem.classes for mu in c.shape.multiplicities()]
     width = len(digits[0])
     bound = max(
@@ -555,7 +657,7 @@ def reduced_multiplicity_product(problem: TupleProblem, divisor: int) -> Reduced
                 )
     counts = [[mu // divisor for mu in c.shape.multiplicities()] for c in problem.classes]
     value = _combined_value(problem.mode, problem.classes, counts)
-    return ReducedProduct(problem.mode, divisor, value, _is_identity(value))
+    return ReducedProduct(problem.mode, divisor, value, value == problem.mode.neutral)
 
 
 # -- generation ---------------------------------------------------------------
@@ -616,6 +718,9 @@ def generate_generic(
     shapes = tuple(shapes)
     if not shapes:
         raise ProblemError("need at least one shape")
+    known = _mode_of(mode)
+    if known is None:
+        raise ProblemError(f"unknown mode {mode!r}")
     if seed < 0:
         raise ProblemError(f"seed must be a non-negative integer, got {seed}")
     n = shapes[0].n
@@ -624,9 +729,8 @@ def generate_generic(
         for j, s in enumerate(shapes)
         for l in range(s.label_count)
     ]
-    mults = [mu for _, _, mu in slots]
-    if mode == ADDITIVE and n > 1:
-        g = reduce(math.gcd, mults)
+    if known.gcd_forces_relation:
+        g = reduce(math.gcd, (mu for _, _, mu in slots))
         if g > 1:
             raise GenericAssignmentError(
                 f"all multiplicities share the divisor {g}; the total-sum "
@@ -643,7 +747,7 @@ def generate_generic(
         primes_pool.extend(next(prime_stream) for _ in range(end - len(primes_pool)))
         qs = primes_pool[offset:end]
         try:
-            problem = _assemble_assignment(shapes, mode, slots, qs)
+            problem = _assemble_assignment(shapes, known, slots, qs)
         except (ProblemError, JnfError):
             # value collision inside a class; retry with fresh denominators
             continue
@@ -689,67 +793,38 @@ def _certify_generic(problem: TupleProblem) -> None:
     0, so mu_last | t_last k, and gcd(k, mu_last) = 1 gives t_last in {0,
     mu_last}, that is m in {0, n}.  Either way no relation exists.
     """
-    n = problem.n
-    slots = [
-        (mu, v)
-        for c in problem.classes
-        for mu, v in zip(c.shape.multiplicities(), c.values)
-    ]
-    *head, (mu_last, last) = slots
-    additive = problem.mode == ADDITIVE
-    k = Fraction(0)
-    seen = 1
-    for mu, v in head:
-        if additive:
-            part, other = v.re, v.im
-        else:
-            part, other = v.angle, v.magnitude - 1
-        q = part.denominator
-        if other or part.numerator != 1:
-            raise GenericAssignmentError(f"internal: slot value {v} is not 1/q")
+    n, mode = problem.n, problem.mode
+    mults = [mu for c in problem.classes for mu in c.shape.multiplicities()]
+    values = [v for c in problem.classes for v in c.values]
+    # per slot, the part that must be 1/q and what must vanish beside it
+    *head, (part, other) = mode.split(values)
+    total, seen = 0, 1  # sum_s mu_s / q_s = total / seen, summed unreduced
+    for s, (p, o) in enumerate(head):
+        q = p.denominator
+        if o or p.numerator != 1:
+            raise GenericAssignmentError(f"internal: slot value {values[s]} is not 1/q")
         if q <= n * n or math.gcd(q, seen) != 1:
             raise GenericAssignmentError(
                 f"internal: denominator {q} is not > {n * n} and coprime to the others"
             )
-        seen *= q
-        k += Fraction(mu, q)
-    if additive:
-        k = last * mu_last + k
-        if k or reduce(math.gcd, (mu for mu, _ in slots)) != 1:
-            raise GenericAssignmentError(
-                "internal: additive assignment inconsistent or multiplicities share a divisor"
-            )
-    else:
-        k += last.angle * mu_last
-        if k.denominator != 1 or math.gcd(k.numerator, mu_last) != 1:
-            raise GenericAssignmentError(
-                f"internal: absorbing value {format_rational(k)} is not an integer "
-                f"coprime to {mu_last}"
-            )
+        total, seen = total * q + mults[s] * seen, seen * q
+    k = Fraction(total, seen) + part * mults[-1]
+    if not mode.certifies(k, other, mults):
+        raise GenericAssignmentError(
+            f"internal: k = {format_rational(k)}, last value {values[-1]}, fails hypothesis (c)"
+        )
 
 
 def _assemble_assignment(shapes, mode, slots, qs) -> TupleProblem:
+    """Slot s < last holds 1/q_s (the value, resp. the angle), and the last
+    slot (k - sum_s mu_s / q_s) / mu_last with k = mode.absorbing(...): 0
+    additively, multiplicatively an integer coprime to mu_last when one is
+    found within mu_last steps."""
     n = shapes[0].n
-    values: list = []
-    if mode == ADDITIVE:
-        partial = GR_ZERO
-        for (_, _, mu), q in zip(slots[:-1], qs):
-            v = GaussianRational(Fraction(1, q))
-            values.append(v)
-            partial = partial + v * mu
-        last_mu = slots[-1][2]
-        values.append(GaussianRational(0) - partial / last_mu)
-    else:
-        s = Fraction(0)
-        for (_, _, mu), q in zip(slots[:-1], qs):
-            x = Fraction(1, q)
-            values.append(MultiplicativeEigenvalue(x))
-            s += mu * x
-        last_mu = slots[-1][2]
-        k = math.ceil(s)
-        while math.gcd(k, last_mu) != 1 and k < math.ceil(s) + last_mu:
-            k += 1
-        values.append(MultiplicativeEigenvalue(Fraction(k - s, last_mu)))
+    values = [mode.value_type(Fraction(1, q)) for q in qs]
+    s = sum((Fraction(mu, q) for (_, _, mu), q in zip(slots, qs)), Fraction(0))
+    last_mu = slots[-1][2]
+    values.append(mode.value_type((mode.absorbing(s, last_mu) - s) / last_mu))
 
     per_class: dict[int, list] = {}
     for (j, _, _), v in zip(slots, values):

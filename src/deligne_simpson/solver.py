@@ -84,16 +84,18 @@ class Verdict:
     specialness: SpecialnessReport | None
 
 
+def _require_consistency(problem: TupleProblem) -> None:
+    if not check_consistency(problem):
+        raise ProblemError("inconsistent eigenvalue data: the total sum/product condition fails")
+
+
 def classify(
     problem: TupleProblem,
     relation_cap: int = DEFAULT_RELATION_CAP,
     exhaustive_ties: bool = False,
 ) -> Verdict:
     """Classify solvability of both problem variants with justifications."""
-    if not check_consistency(problem):
-        raise ProblemError(
-            "inconsistent eigenvalue data: the total sum/product condition fails"
-        )
+    _require_consistency(problem)
     report = rigidity_report(problem.shapes)
     goodres = is_good(problem.shapes, exhaustive_ties=exhaustive_ties)
 

@@ -17,7 +17,6 @@ from itertools import product as iter_product
 from .criteria import is_good, rigidity_report
 from .eigenvalues import (
     DEFAULT_RELATION_CAP,
-    MULTIPLICATIVE,
     TupleProblem,
     check_consistency,
     is_generic,
@@ -130,11 +129,9 @@ def _build_certificate(problem, l, n1, joint) -> SpecialCertificate | None:
     )
     inner_problem = TupleProblem(problem.mode, l, inner_classes)
     if not check_consistency(inner_problem):
-        if problem.mode == MULTIPLICATIVE:
-            return None
-        raise SpecialSearchError(
-            "internal: inner sum nonzero for a consistent additive instance"
-        )
+        # only multiplicatively: the additive inner sum is the outer sum
+        # divided by n1, zero for a consistent problem
+        return None
 
     subordinate_classes = []
     for spec, shape in zip(problem.classes, inner_shapes):

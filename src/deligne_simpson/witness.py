@@ -10,13 +10,12 @@ first-order deformation step with an exact residual bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import GR_ONE, GR_ZERO, GaussianRational
-from .eigenvalues import ADDITIVE, MULTIPLICATIVE, MultiplicativeEigenvalue, TupleProblem
+from .eigenvalues import MultiplicativeEigenvalue, TupleProblem, _mode_of
 from .jnf_core import ClassSpec, d_of, rank_sequence
 from .linalg import (
     Matrix,
@@ -55,15 +54,16 @@ class WitnessMismatchError(WitnessError):
 class MatrixTuple:
     """Mode-tagged tuple of equally sized square matrices.
 
-    Multiplicative tuples must consist of invertible matrices; this is
-    checked eagerly at construction.
+    The mode is stored as its mode object.  Multiplicative tuples must
+    consist of invertible matrices, checked eagerly at construction.
     """
 
     __slots__ = ("mode", "matrices", "_residues")
 
     def __init__(self, mode: str, matrices: Sequence[Matrix]):
         matrices = tuple(matrices)
-        if mode not in (ADDITIVE, MULTIPLICATIVE):
+        known = _mode_of(mode)
+        if known is None:
             raise WitnessError(f"unknown mode {mode!r}")
         if not matrices:
             raise WitnessError("a tuple needs at least one matrix")
@@ -74,14 +74,14 @@ class MatrixTuple:
             if not m.is_square or m.nrows != n:
                 raise WitnessError(f"matrix {j} is not {n}x{n}")
         object.__setattr__(self, "matrices", matrices)
-        if mode == MULTIPLICATIVE:
+        if known.invertible:
             # full rank mod PRIME proves a matrix invertible; the exact rank
             # decides the rest
             residues = self.residues
             for j, m in enumerate(matrices):
                 if (residues is None or _residue_rank(residues[j]) < n) and rank(m) != n:
                     raise WitnessError(f"matrix {j} is singular in multiplicative mode")
-        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "mode", known)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixTuple is immutable")
@@ -115,24 +115,9 @@ class MatrixTuple:
         return f"MatrixTuple({self.mode}, {self.count} matrices of size {self.n})"
 
 
-def _relation_residual(mode: str, matrices: Sequence[Matrix]) -> Matrix:
-    """The sum of the matrices (additive), respectively their product minus
-    the identity (multiplicative): zero exactly when the relation holds."""
-    if mode == ADDITIVE:
-        acc = matrices[0]
-        for m in matrices[1:]:
-            acc = acc + m
-        return acc
-    identity = Matrix.identity(matrices[0].nrows)
-    acc = identity
-    for m in matrices:
-        acc = acc * m
-    return acc - identity
-
-
 def verify_relation(t: MatrixTuple) -> bool:
     """Exact check of sum = 0 (additive) or product = identity."""
-    return _relation_residual(t.mode, t.matrices).is_zero()
+    return t.mode.residual(t.matrices).is_zero()
 
 
 def eigenvalue_as_gaussian(value) -> GaussianRational:
@@ -383,18 +368,8 @@ def deform_step(
     if not verify_relation(base):
         raise DeformationError("base tuple does not satisfy its defining relation")
 
-    outer = None
-    if base.mode == MULTIPLICATIVE:
-        # d/d eps of the product: the j-th factor's change sits between the
-        # product of the factors before it and the product of those after
-        k = base.count
-        prefix = [Matrix.identity(n)]
-        for m in base.matrices[:-1]:
-            prefix.append(prefix[-1] * m)
-        suffix = [Matrix.identity(n)] * k
-        for j in range(k - 2, -1, -1):
-            suffix[j] = base.matrices[j + 1] * suffix[j + 1]
-        outer = tuple(zip(prefix, suffix))
+    # the (L_j, R_j) pairs, or None for identities
+    outer = base.mode.outer_factors(base.matrices)
     drift = Matrix.zeros(n, n)
     for j, d in enumerate(directions):
         drift = drift + (d if outer is None else outer[j][0] * d * outer[j][1])
@@ -422,7 +397,7 @@ def deform_step(
         target = m + d.scale(eps)
         deformed.append(conj_inv * target * conj)
 
-    residual = _relation_residual(base.mode, deformed).norm_rowsum()
+    residual = base.mode.residual(deformed).norm_rowsum()
     bound = _residual_bound(base, directions, x_matrices, eps)
     try:
         deformed_tuple = MatrixTuple(base.mode, deformed)
@@ -438,29 +413,17 @@ def deform_step(
 
 def _residual_bound(base, directions, x_matrices, eps: Fraction) -> Fraction | None:
     """Exact K eps^2 style bound on the relation residual, valid while
-    eps ||X_j|| < 1 for every j."""
+    eps ||X_j|| < 1 for every j.  The mode combines (M_j, N_j, X_j, ||M_j||,
+    rho_j): eps^2 sum rho_j, resp. prod (||M_j|| + eps f_j + eps^2 rho_j)
+    beyond its first order, f_j = ||N_j + [M_j, X_j]||."""
     abs_eps = abs(eps)
-    norms = [
-        (m.norm_rowsum(), d.norm_rowsum(), x.norm_rowsum())
+    steps = [
+        (m, d, x, m.norm_rowsum(), d.norm_rowsum(), x.norm_rowsum())
         for m, d, x in zip(base.matrices, directions, x_matrices)
     ]
-    if any(abs_eps * x >= 1 for _, _, x in norms):
+    if any(abs_eps * nx >= 1 for *_, nx in steps):
         return None
-    rhos = [
-        2 * x * (nd + x * na) / (1 - abs_eps * x) for na, nd, x in norms
-    ]
-    if base.mode == ADDITIVE:
-        return abs_eps * abs_eps * sum(rhos, Fraction(0))
-    f_norms = [
-        (d + (m * x - x * m)).norm_rowsum()
-        for (m, d, x) in zip(base.matrices, directions, x_matrices)
-    ]
-    a_norms = [na for na, _, _ in norms]
-    full = math.prod([a + abs_eps * f + abs_eps * abs_eps * r
-                      for a, f, r in zip(a_norms, f_norms, rhos)])
-    base_prod = math.prod(a_norms)
-    linear = sum(
-        f * math.prod(a_norms[:j] + a_norms[j + 1 :])
-        for j, f in enumerate(f_norms)
-    )
-    return full - base_prod - abs_eps * linear
+    return base.mode.bound(abs_eps, [
+        (m, d, x, na, 2 * nx * (nd + nx * na) / (1 - abs_eps * nx))
+        for m, d, x, na, nd, nx in steps
+    ])

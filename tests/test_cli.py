@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from deligne_simpson import cli
 from deligne_simpson.exactnum import ExactNumberError, parse_rational
@@ -20,6 +22,10 @@ from deligne_simpson.cli import (
     serialize_problem,
     serialize_witness,
 )
+
+from deligne_simpson import ADDITIVE, MULTIPLICATIVE, ClassSpec, JnfShape, TupleProblem
+from deligne_simpson.linalg import Matrix
+from deligne_simpson.witness import MatrixTuple, WitnessError
 
 from conftest import SAMPLES, gr, me, random_shape_tuple
 
@@ -74,6 +80,74 @@ class TestParseProblem:
                 classes.append(ClassSpec(s, values))
             problem = TupleProblem(mode, n, classes)
             assert parse_problem(serialize_problem(problem)) == problem
+
+
+_SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+_VALUES = {
+    ADDITIVE: st.builds(gr, _SMALL, _SMALL),
+    MULTIPLICATIVE: st.builds(
+        me,
+        st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda f: f < 1),
+        st.fractions(min_value=Fraction(1, 12), max_value=5, max_denominator=12),
+    ),
+}
+
+
+@st.composite
+def _parts(draw, total):
+    """A list of positive integers with the given sum."""
+    parts = []
+    while total:
+        parts.append(draw(st.integers(1, total)))
+        total -= parts[-1]
+    return parts
+
+
+@st.composite
+def _problems(draw):
+    mode = draw(st.sampled_from([ADDITIVE, MULTIPLICATIVE]))
+    n = draw(st.integers(1, 5))
+    classes = []
+    for _ in range(draw(st.integers(1, 3))):
+        mults = draw(_parts(n))
+        shape = JnfShape.of(*(draw(_parts(mu)) for mu in mults))
+        values = draw(st.lists(_VALUES[mode], min_size=len(mults), max_size=len(mults), unique=True))
+        classes.append(ClassSpec(shape, values))
+    return TupleProblem(mode, n, classes)
+
+
+@st.composite
+def _witnesses(draw):
+    mode = draw(st.sampled_from([ADDITIVE, MULTIPLICATIVE]))
+    n = draw(st.integers(1, 3))
+    entries = st.lists(_VALUES[ADDITIVE], min_size=n * n, max_size=n * n)
+    matrices = [
+        Matrix([row[i : i + n] for i in range(0, n * n, n)])
+        for row in draw(st.lists(entries, min_size=1, max_size=3))
+    ]
+    try:
+        return MatrixTuple(mode, matrices)
+    except WitnessError:  # a singular multiplicative matrix
+        assume(False)
+
+
+class TestDocumentRoundTrip:
+    """parse(serialize(x)) == x, and serialize(parse(doc)) == doc for every
+    document that serialize produces, after a trip through JSON text."""
+
+    @given(_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_problems(self, problem):
+        doc = json.loads(json.dumps(serialize_problem(problem)))
+        assert parse_problem(doc) == problem
+        assert serialize_problem(parse_problem(doc)) == doc
+
+    @given(_witnesses())
+    @settings(max_examples=100, deadline=None)
+    def test_witnesses(self, witness):
+        doc = json.loads(json.dumps(serialize_witness(witness)))
+        assert parse_witness(doc) == witness
+        assert serialize_witness(parse_witness(doc)) == doc
 
 
 class TestParseWitness:
@@ -617,6 +691,30 @@ class TestConsoleEntry:
         assert (proc.returncode, proc.stderr) == (2, "")
         assert json.loads(proc.stdout) == {
             "error": "--relation-cap: not used by --generate, which runs no search"
+        }
+
+    @pytest.mark.parametrize("values", [
+        ("additive", [{"re": "1"}, {"re": "0"}, {"re": "0"}]),
+        ("multiplicative", [{"angle": "1/3"}, {"angle": "0"}, {"angle": "0"}]),
+    ], ids=["additive", "multiplicative"])
+    def test_special_refuses_inconsistent_data_like_classify(self, tmp_path, values):
+        mode, docs = values
+        path = tmp_path / "inconsistent.json"
+        path.write_text(json.dumps({"mode": mode, "n": 2, "classes": [
+            {"eigenvalues": [{"value": v, "multiplicity": 2, "blocks": [2]}]} for v in docs
+        ]}))
+        outputs = []
+        for command in ("special", "classify"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "deligne_simpson.cli", command, str(path)],
+                capture_output=True,
+                text=True,
+            )
+            assert (proc.returncode, proc.stderr) == (2, "")
+            outputs.append(json.loads(proc.stdout))
+        assert outputs[0] == outputs[1] == {
+            "error": "ProblemError: inconsistent eigenvalue data: "
+            "the total sum/product condition fails"
         }
 
     @pytest.mark.parametrize("seed", ["-1", "-7"])

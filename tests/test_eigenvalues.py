@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import ast
+import json
 import math
 import random
 from fractions import Fraction
 from itertools import product as iter_product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +46,10 @@ from deligne_simpson.eigenvalues import (
     find_first_relation,
     relation_counts,
 )
+from deligne_simpson.cli import run_command
 from deligne_simpson.jnf_core import JnfError
+from deligne_simpson.linalg import Matrix
+from deligne_simpson.witness import MatrixTuple, WitnessError
 
 from conftest import bruteforce_relations, gr, me, random_shape_tuple, shape
 
@@ -71,6 +77,133 @@ class TestConsistency:
     def test_mode_value_mismatch_rejected(self):
         with pytest.raises(ProblemError):
             TupleProblem(MULTIPLICATIVE, 2, [ClassSpec(shape([2]), [gr(0)])] * 3)
+
+
+class TestModeObjects:
+    """ADDITIVE and MULTIPLICATIVE are mode objects that stand in for their
+    document strings everywhere."""
+
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    def test_equal_hashed_and_encoded_as_the_string(self, mode):
+        text = str(mode)
+        assert type(text) is str and text in ("additive", "multiplicative")
+        assert mode == text and not mode != text and hash(mode) == hash(text)
+        assert {text: 1}[mode] == 1
+        assert json.dumps({"mode": mode}) == json.dumps({"mode": text})
+        assert repr(mode) == repr(text) and f"{mode}" == text
+
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    def test_constructors_store_the_mode_object(self, mode):
+        text = str(mode)
+        shapes = (shape([1], [1]),) * 3
+        problem = generate_generic(shapes, text)
+        assert problem.mode is mode
+        assert TupleProblem(text, 2, problem.classes).mode is mode
+        tup = MatrixTuple(text, [Matrix([[1, 0], [0, 1]])] * 2)
+        assert tup.mode is mode
+
+    def test_relation_equal_across_string_and_object(self):
+        counts = ((1, 0), (0, 1))
+        by_text = NonGenericityRelation(mode="additive", m=1, counts=counts)
+        by_object = NonGenericityRelation(mode=ADDITIVE, m=1, counts=counts)
+        assert by_text == by_object and hash(by_text) == hash(by_object)
+
+    BAD_MODES = [None, 1, True, [], {}, "", "Additive"]
+
+    @pytest.mark.parametrize("mode", BAD_MODES, ids=repr)
+    def test_unknown_modes_raise_the_package_errors(self, mode):
+        classes = [ClassSpec(shape([1]), [gr(0)])] * 2
+        with pytest.raises(ProblemError):
+            TupleProblem(mode, 1, classes)
+        with pytest.raises(WitnessError):
+            MatrixTuple(mode, [Matrix([[0]])] * 2)
+        with pytest.raises(ProblemError):
+            generate_generic((shape([1]),) * 2, mode)
+
+    @pytest.mark.parametrize("mode", BAD_MODES, ids=repr)
+    def test_documents_with_unknown_modes_exit_2(self, tmp_path, mode):
+        problem = tmp_path / "p.json"
+        witness = tmp_path / "w.json"
+        problem.write_text(json.dumps({"mode": mode, "n": 1, "classes": [
+            {"eigenvalues": [{"value": {"re": "0"}, "multiplicity": 1, "blocks": [1]}]}
+        ] * 2}))
+        witness.write_text(json.dumps({"mode": mode, "n": 1, "matrices": [[[{"re": "0"}]]] * 2}))
+        code, report = run_command(["classify", str(problem)])
+        assert code == 2 and report["error"].startswith("mode: ")
+        good = tmp_path / "good.json"
+        doc = json.loads(problem.read_text())
+        good.write_text(json.dumps(dict(doc, mode="additive")))
+        code, report = run_command(["verify", str(good), str(witness)])
+        assert code == 2 and report["error"].startswith("mode: ")
+
+
+_SOURCES = sorted(
+    (Path(__file__).resolve().parent.parent / "src" / "deligne_simpson").glob("*.py")
+)
+_MODE_NAMES = {"ADDITIVE", "MULTIPLICATIVE", "additive", "multiplicative"}
+_MODE_CLASSES = {"_Mode", "_Additive", "_Multiplicative"}
+
+
+def _mode_branches(source: str) -> list[str]:
+    """Each comparison with a mode operand outside the mode classes, and
+    each isinstance test against MultiplicativeEigenvalue outside
+    eigenvalue_as_gaussian, as "line: code"."""
+    found = []
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                yield sub.value
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope | {node.name}
+        if isinstance(node, ast.Compare) and not scope & _MODE_CLASSES:
+            if any(set(names(x)) & _MODE_NAMES for x in (node.left, *node.comparators)):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and "eigenvalue_as_gaussian" not in scope
+            and "MultiplicativeEigenvalue" in set(names(node.args[-1]))
+        ):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+class TestOneModeHome:
+    """The mode objects are the only place that tells the modes apart."""
+
+    @pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+    def test_no_mode_branch_outside_the_mode_objects(self, path):
+        assert _mode_branches(path.read_text()) == []
+
+    @pytest.mark.parametrize("branch", [
+        "if mode == ADDITIVE:\n    pass",
+        "x = problem.mode != eigenvalues.MULTIPLICATIVE",
+        "ok = mode in ('additive', 'multiplicative')",
+        "if t.mode is MULTIPLICATIVE:\n    pass",
+        "def f(v):\n    return isinstance(v, (GaussianRational, MultiplicativeEigenvalue))",
+    ])
+    def test_the_guard_finds_a_branch_put_back(self, branch):
+        source = (_SOURCES[0].parent / "witness.py").read_text() + "\n" + branch + "\n"
+        assert len(_mode_branches(source)) == 1
+
+    def test_the_guard_spares_the_mode_classes_and_the_embedding(self):
+        source = (
+            "class _Additive(_Mode):\n    def f(self, m):\n        return m == ADDITIVE\n"
+            "def eigenvalue_as_gaussian(v):\n    return isinstance(v, MultiplicativeEigenvalue)\n"
+        )
+        assert _mode_branches(source) == []
 
 
 class TestGenericity:
