@@ -8,9 +8,8 @@ no selection of equally many eigenvalues from every class (respecting
 multiplicities, fewer than n per class) sums to zero, respectively
 multiplies to one.
 
-The mode objects `ADDITIVE` and `MULTIPLICATIVE` are the one home of
-everything that differs between the modes, from the value type to the
-matrix relation; each is a `str` equal to its document string, and the
+The mode objects `ADDITIVE` and `MULTIPLICATIVE`, each a `str` equal to
+its document string, hold everything that differs between the modes; the
 rest of the package asks a problem's mode and never compares it.
 
 The relation searches (`find_first_relation`, `relation_counts`) never
@@ -65,9 +64,8 @@ class MultiplicativeEigenvalue:
     magnitude: Fraction = Fraction(1)
 
     def __post_init__(self):
-        # other parts are read by parse_rational, as GaussianRational reads
-        # them; a Fraction is kept as it is, and an angle in [0, 1) too.
-        # Signs and ranges are read off the numerator: denominators are > 0
+        # parse_rational reads other parts, as in GaussianRational; a Fraction
+        # is kept, an angle in [0, 1) too (read off numerators, as q > 0)
         magnitude = self.magnitude
         if not isinstance(magnitude, Fraction):
             magnitude = parse_rational(magnitude)
@@ -108,10 +106,9 @@ MULT_ONE = MultiplicativeEigenvalue(Fraction(0))
 
 
 class _Mode(str):
-    """A mode's document string with its facts: the value type and its
-    document keys (required, optional, default), the relation's neutral
-    element, and methods described where they are used, in
-    `_assemble_assignment`, `_certify_generic` and `witness`."""
+    """A mode's document string with its facts: the value type, its document
+    keys (required, optional, default) and the relation's neutral element;
+    each method is described where it is used."""
 
     __slots__ = ()
 
@@ -164,10 +161,13 @@ class _Multiplicative(_Mode):
     gcd_forces_relation = False
 
     def combine(self, terms):
-        # built once, from the sum of the angles and the product of the magnitudes
-        return MultiplicativeEigenvalue(
-            sum(v.angle * k for v, k in terms), math.prod(v.magnitude**k for v, k in terms)
-        )
+        # one Fraction per part, from integers: the angles summed over the
+        # lcm of their denominators, the magnitudes' two parts multiplied
+        den = math.lcm(*(v.angle.denominator for v, _ in terms))
+        turns = sum(k * v.angle.numerator * (den // v.angle.denominator) for v, k in terms)
+        up = math.prod(v.magnitude.numerator**k for v, k in terms)
+        down = math.prod(v.magnitude.denominator**k for v, k in terms)
+        return MultiplicativeEigenvalue(Fraction(turns % den, den), Fraction(up, down))
 
     def key_parts(self, values):
         modulus = math.lcm(*(v.angle.denominator for v in values))
@@ -816,10 +816,9 @@ def _certify_generic(problem: TupleProblem) -> None:
 
 
 def _assemble_assignment(shapes, mode, slots, qs) -> TupleProblem:
-    """Slot s < last holds 1/q_s (the value, resp. the angle), and the last
-    slot (k - sum_s mu_s / q_s) / mu_last with k = mode.absorbing(...): 0
-    additively, multiplicatively an integer coprime to mu_last when one is
-    found within mu_last steps."""
+    """Slot s < last holds 1/q_s (the value, resp. the angle), the last one
+    (k - sum_s mu_s / q_s) / mu_last with k = mode.absorbing(...): 0, resp.
+    an integer coprime to mu_last if one is found within mu_last steps."""
     n = shapes[0].n
     values = [mode.value_type(Fraction(1, q)) for q in qs]
     s = sum((Fraction(mu, q) for (_, _, mu), q in zip(slots, qs)), Fraction(0))

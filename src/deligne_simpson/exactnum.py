@@ -240,6 +240,8 @@ from_triple = _make
 def as_gaussian(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
+    if type(x) is int:  # the triple (x, 0, 1), with nothing to parse
+        return _make(x, 0, 1)
     return GaussianRational(x)
 
 

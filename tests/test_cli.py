@@ -122,8 +122,8 @@ def _witnesses(draw):
     n = draw(st.integers(1, 3))
     entries = st.lists(_VALUES[ADDITIVE], min_size=n * n, max_size=n * n)
     matrices = [
-        Matrix([row[i : i + n] for i in range(0, n * n, n)])
-        for row in draw(st.lists(entries, min_size=1, max_size=3))
+        Matrix([flat[i : i + n] for i in range(0, n * n, n)])
+        for flat in draw(st.lists(entries, min_size=1, max_size=3))
     ]
     try:
         return MatrixTuple(mode, matrices)
