@@ -147,7 +147,7 @@ def serialize_problem(problem: TupleProblem) -> dict:
             {
                 "eigenvalues": [
                     {
-                        "value": dict(zip(problem.mode.fields, v.format_parts())),
+                        "value": problem.mode.document(v),
                         "multiplicity": c.shape.multiplicity(i),
                         "blocks": list(c.shape.blocks[i].parts),
                     }
@@ -205,7 +205,7 @@ def serialize_witness(t: MatrixTuple) -> dict:
         "n": t.n,
         "matrices": [
             [
-                [dict(zip(ADDITIVE.fields, x.format_parts())) for x in row]
+                [ADDITIVE.document(x) for x in row]
                 for row in m.rows
             ]
             for m in t.matrices

@@ -64,21 +64,16 @@ class MultiplicativeEigenvalue:
     magnitude: Fraction = Fraction(1)
 
     def __post_init__(self):
-        # parse_rational reads other parts, as in GaussianRational; a Fraction
-        # is kept, an angle in [0, 1) too (read off numerators, as q > 0)
-        magnitude = self.magnitude
-        if not isinstance(magnitude, Fraction):
-            magnitude = parse_rational(magnitude)
-            object.__setattr__(self, "magnitude", magnitude)
+        # parts are read as GaussianRational reads them (parse_rational
+        # keeps a Fraction); an angle in [0, 1) is kept, read off numerators
+        magnitude = parse_rational(self.magnitude)
+        object.__setattr__(self, "magnitude", magnitude)
         if magnitude.numerator <= 0:
             raise ProblemError(f"magnitude must be positive, got {magnitude}")
-        angle = self.angle
-        if not isinstance(angle, Fraction):
-            angle = parse_rational(angle)
+        angle = parse_rational(self.angle)
         if not 0 <= angle.numerator < angle.denominator:
             angle %= 1
-        if angle is not self.angle:
-            object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "angle", angle)
 
     def __mul__(self, other: "MultiplicativeEigenvalue") -> "MultiplicativeEigenvalue":
         return MultiplicativeEigenvalue(
@@ -108,9 +103,15 @@ MULT_ONE = MultiplicativeEigenvalue(Fraction(0))
 class _Mode(str):
     """A mode's document string with its facts: the value type, its document
     keys (required, optional, default) and the relation's neutral element;
-    each method is described where it is used."""
+    each other method is described where it is used."""
 
     __slots__ = ()
+
+    def document(self, value) -> dict:
+        """The document object of a value, such as {"re": "1/2", "im": "0"}."""
+        key, other, _ = self.fields
+        a, b = value.format_parts()
+        return {key: a, other: b}
 
 
 class _Additive(_Mode):
@@ -161,8 +162,7 @@ class _Multiplicative(_Mode):
     gcd_forces_relation = False
 
     def combine(self, terms):
-        # one Fraction per part, from integers: the angles summed over the
-        # lcm of their denominators, the magnitudes' two parts multiplied
+        # one Fraction per part, from integer sums and products
         den = math.lcm(*(v.angle.denominator for v, _ in terms))
         turns = sum(k * v.angle.numerator * (den // v.angle.denominator) for v, k in terms)
         up = math.prod(v.magnitude.numerator**k for v, k in terms)

@@ -54,8 +54,8 @@ class WitnessMismatchError(WitnessError):
 class MatrixTuple:
     """Mode-tagged tuple of equally sized square matrices.
 
-    The mode is stored as its mode object.  Multiplicative tuples must
-    consist of invertible matrices, checked eagerly at construction.
+    Multiplicative tuples must consist of invertible matrices; this is
+    checked eagerly at construction.
     """
 
     __slots__ = ("mode", "matrices", "_residues")
