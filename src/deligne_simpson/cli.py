@@ -80,7 +80,8 @@ def _rational(text, path: str):
 def _parse_value(doc, mode, path: str):
     _expect(isinstance(doc, dict), path, "must be an object")
     key, other, default = mode.fields
-    _expect(key in doc and doc.keys() <= {key, other}, path, mode.hint)
+    # the required key, the optional one when present, and nothing else
+    _expect(key in doc and len(doc) == 1 + (other in doc), path, mode.hint)
     try:
         return mode.value_type(doc[key], doc.get(other, default))
     except (ExactNumberError, ProblemError) as exc:
