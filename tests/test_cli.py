@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from deligne_simpson import cli
+from deligne_simpson import ADDITIVE, MULTIPLICATIVE, ClassSpec, JnfShape, TupleProblem, cli
 from deligne_simpson.exactnum import ExactNumberError, parse_rational
 from deligne_simpson.cli import (
     CliInputError,
@@ -22,8 +22,6 @@ from deligne_simpson.cli import (
     serialize_problem,
     serialize_witness,
 )
-
-from deligne_simpson import ADDITIVE, MULTIPLICATIVE, ClassSpec, JnfShape, TupleProblem
 from deligne_simpson.linalg import Matrix
 from deligne_simpson.witness import MatrixTuple, WitnessError
 
