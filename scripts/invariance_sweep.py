@@ -28,8 +28,8 @@ def sweep_kappa(rng: random.Random, rounds: int) -> dict:
         n = rng.randint(2, 10)
         shapes = random_shape_tuple(rng, n, rng.randint(2, 5))
         res = is_good(shapes)
-        kappas = set(res.trace.kappas)
-        assert len(kappas) == 1, (shapes, res.trace.kappas)
+        kappas = [s.report.kappa for s in res.trace.steps]
+        assert len(set(kappas)) == 1, (shapes, kappas)
         depth = len(res.trace.steps)
         stats["tuples"] += 1
         stats["max_depth"] = max(stats["max_depth"], depth)

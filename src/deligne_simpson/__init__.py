@@ -9,7 +9,6 @@ from .criteria import (
     TieVerdictError,
     is_good,
     max_block_labels,
-    psi_reduce,
     rigidity_report,
 )
 from .eigenvalues import (
@@ -25,7 +24,6 @@ from .eigenvalues import (
     check_consistency,
     generate_generic,
     is_generic,
-    reduced_multiplicity_product,
 )
 from .exactnum import GaussianRational, format_rational, parse_rational
 from .jnf_core import (

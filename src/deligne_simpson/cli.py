@@ -25,13 +25,14 @@ from .eigenvalues import (
     RelationSearchCapError,
     TupleProblem,
     _mode_of,
+    _require_consistency,
     generate_generic,
     is_generic,
 )
 from .exactnum import ExactNumberError, format_rational, parse_rational
 from .jnf_core import ClassSpec, JnfError, JnfShape, Partition
 from .linalg import LinalgError, Matrix
-from .solver import UNKNOWN, Verdict, _require_consistency, apply_subordinate_witness, classify
+from .solver import UNKNOWN, Verdict, apply_subordinate_witness, classify
 from .special import SpecialSearchError, classify_specialness
 from .witness import (
     DeformationError,

@@ -21,14 +21,6 @@ class CriteriaError(ValueError):
     pass
 
 
-class PsiPreconditionError(CriteriaError):
-    """A reduction step was requested where it is undefined."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 class TieVerdictError(CriteriaError):
     """Exhaustive tie exploration produced disagreeing goodness verdicts."""
 
@@ -96,54 +88,6 @@ def max_block_labels(shape: JnfShape) -> tuple[int, ...]:
     return tuple(i for i in range(shape.label_count) if shape.block_count(i) == top)
 
 
-@dataclass(frozen=True)
-class PsiReduction:
-    shapes: tuple[JnfShape, ...]
-    chosen_labels: tuple[int, ...]
-    n1: int
-
-
-def psi_reduce(
-    shapes: tuple[JnfShape, ...],
-    chosen_labels: tuple[int, ...] | None = None,
-) -> PsiReduction:
-    """One reduction step: shrink the n - n1 smallest blocks of a maximal
-    eigenvalue in every class, where n1 = sum(r_j) - n.
-
-    Defined only when n > 1, alpha and beta hold and omega fails, which is
-    when `_level_status` finds the level reducible.  When several
-    eigenvalues tie for the maximal block count the canonically first label
-    is used unless `chosen_labels` overrides the choice.
-    """
-    report, terminal, _, n1 = _level_status(shapes)
-    if terminal is not None:
-        n = report.n
-        raise PsiPreconditionError(*{
-            TERMINAL_N_EQUALS_1: ("size_one", "reduction undefined at size 1"),
-            TERMINAL_OMEGA: ("omega_holds", f"omega holds: sum r = {report.sum_r} >= {2 * n}"),
-            TERMINAL_ALPHA_FAILED: (
-                "alpha", f"alpha fails: sum d = {report.sum_d} < {2 * n * n - 2}"
-            ),
-            TERMINAL_BETA_FAILED: ("beta", f"beta fails at classes {list(report.beta_failures)}"),
-        }[terminal])
-
-    if chosen_labels is None:
-        chosen_labels = tuple(max_block_labels(s)[0] for s in shapes)
-    else:
-        chosen_labels = tuple(chosen_labels)
-        if len(chosen_labels) != len(shapes):
-            raise CriteriaError("one chosen label per class is required")
-        for j, (s, lab) in enumerate(zip(shapes, chosen_labels)):
-            if lab not in max_block_labels(s):
-                raise CriteriaError(
-                    f"class {j}: label {lab} does not attain the maximal block count"
-                )
-
-    return PsiReduction(
-        shapes=_shrink(shapes, chosen_labels, n1), chosen_labels=chosen_labels, n1=n1
-    )
-
-
 def _shrink(
     shapes: tuple[JnfShape, ...], chosen_labels: tuple[int, ...], n1: int
 ) -> tuple[JnfShape, ...]:
@@ -191,14 +135,6 @@ class PsiStep:
 class PsiTrace:
     steps: tuple[PsiStep, ...]
     terminal: str
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        return tuple(s.n for s in self.steps)
-
-    @property
-    def kappas(self) -> tuple[int, ...]:
-        return tuple(s.report.kappa for s in self.steps)
 
 
 @dataclass(frozen=True)

@@ -75,20 +75,6 @@ class MultiplicativeEigenvalue:
             angle %= 1
         object.__setattr__(self, "angle", angle)
 
-    def __mul__(self, other: "MultiplicativeEigenvalue") -> "MultiplicativeEigenvalue":
-        return MultiplicativeEigenvalue(
-            self.angle + other.angle, self.magnitude * other.magnitude
-        )
-
-    def power(self, k: int) -> "MultiplicativeEigenvalue":
-        return MultiplicativeEigenvalue(self.angle * k, self.magnitude**k)
-
-    def inverse(self) -> "MultiplicativeEigenvalue":
-        return MultiplicativeEigenvalue(-self.angle, 1 / self.magnitude)
-
-    def is_identity(self) -> bool:
-        return self.angle == 0 and self.magnitude == 1
-
     def format_parts(self) -> tuple[str, str]:
         """The angle and the magnitude as "p/q" (or "p") in lowest terms."""
         return format_rational(self.angle), format_rational(self.magnitude)
@@ -298,6 +284,11 @@ def check_consistency(problem: TupleProblem) -> bool:
     return _combined_value(problem.mode, problem.classes, counts) == problem.mode.neutral
 
 
+def _require_consistency(problem: TupleProblem) -> None:
+    if not check_consistency(problem):
+        raise ProblemError("inconsistent eigenvalue data: the total sum/product condition fails")
+
+
 # -- non-genericity relations ------------------------------------------------
 
 
@@ -351,11 +342,6 @@ def _selections(mults: tuple[int, ...], m: int, weights) -> list[tuple[tuple[int
             for t in range(max(0, rest - tail), min(mu, rest) + 1)
         ]
     return [(acc, total) for acc, _, total in level]
-
-
-def _selection_vectors(mults: tuple[int, ...], m: int):
-    """Count vectors 0 <= t_i <= mults[i] with sum m, lexicographic order."""
-    return [t for t, _ in _selections(mults, m, [0] * len(mults))]
 
 
 def _selection_counts(mults: tuple[int, ...], top: int) -> list[int]:
@@ -618,46 +604,15 @@ def is_generic(
 ) -> GenericityResult:
     """Exhaustive search for a non-genericity relation.
 
-    Requires the instance to be consistent.  Raises RelationSearchCapError
-    when the search space exceeds `cap` at some cardinality.
+    Requires the instance to be consistent (ProblemError otherwise).
+    Raises RelationSearchCapError when the search space exceeds `cap` at
+    some cardinality.
     """
-    if not check_consistency(problem):
-        raise ProblemError("eigenvalues are inconsistent; genericity is undefined")
+    _require_consistency(problem)
     witness = find_first_relation(problem, cap=cap)
     if witness is None:
         return GenericityResult(generic=True)
     return GenericityResult(generic=False, witness=witness)
-
-
-# -- reduced-multiplicity products --------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReducedProduct:
-    mode: str
-    divisor: int
-    value: GaussianRational | MultiplicativeEigenvalue
-    is_identity: bool
-
-
-def reduced_multiplicity_product(problem: TupleProblem, divisor: int) -> ReducedProduct:
-    """Divide every eigenvalue multiplicity by `divisor` and recombine.
-
-    With all multiplicities divisible by d, a consistent additive instance
-    always reduces to zero, while the multiplicative product lands on some
-    d-th root of unity that need not be one."""
-    if divisor < 1:
-        raise ProblemError(f"divisor must be >= 1, got {divisor}")
-    for j, c in enumerate(problem.classes):
-        for i in range(c.shape.label_count):
-            if c.shape.multiplicity(i) % divisor:
-                raise ProblemError(
-                    f"class {j}: multiplicity {c.shape.multiplicity(i)} "
-                    f"not divisible by {divisor}"
-                )
-    counts = [[mu // divisor for mu in c.shape.multiplicities()] for c in problem.classes]
-    value = _combined_value(problem.mode, problem.classes, counts)
-    return ReducedProduct(problem.mode, divisor, value, value == problem.mode.neutral)
 
 
 # -- generation ---------------------------------------------------------------

@@ -186,9 +186,6 @@ class GaussianRational:
     def __bool__(self):
         return bool(self._t[0] or self._t[1])
 
-    def is_zero(self) -> bool:
-        return not self
-
     def format_parts(self) -> tuple[str, str]:
         """The real and imaginary parts as "p/q" (or "p") in lowest terms,
         formatted from the triple without building Fractions."""

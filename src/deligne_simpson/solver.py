@@ -19,8 +19,8 @@ from .eigenvalues import (
     ProblemError,
     RelationSearchCapError,
     TupleProblem,
-    check_consistency,
     DEFAULT_RELATION_CAP,
+    _require_consistency,
     find_first_relation,
 )
 from .jnf_core import ClassSpec, is_subordinate
@@ -82,11 +82,6 @@ class Verdict:
     genericity: GenericityResult | None
     genericity_note: str | None
     specialness: SpecialnessReport | None
-
-
-def _require_consistency(problem: TupleProblem) -> None:
-    if not check_consistency(problem):
-        raise ProblemError("inconsistent eigenvalue data: the total sum/product condition fails")
 
 
 def classify(

@@ -19,7 +19,6 @@ from deligne_simpson import (
     MultiplicativeEigenvalue,
     TupleProblem,
 )
-from deligne_simpson.eigenvalues import _selection_vectors
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_problems"
 
@@ -206,6 +205,11 @@ def random_relation_tuple(
     return MatrixTuple(MULTIPLICATIVE, mats)
 
 
+def selection_vectors(mults: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
+    """Count vectors 0 <= t_i <= mults[i] with sum m, lexicographic order."""
+    return [t for t in iter_product(*(range(mu + 1) for mu in mults)) if sum(t) == m]
+
+
 def bruteforce_relations(problem: TupleProblem) -> list[tuple[int, tuple]]:
     """Every relation (m, count vectors) with 1 <= m < n, by direct-product
     enumeration of the selections, combining angles and magnitudes
@@ -213,7 +217,7 @@ def bruteforce_relations(problem: TupleProblem) -> list[tuple[int, tuple]]:
     found = []
     for m in range(1, problem.n):
         vector_sets = [
-            _selection_vectors(c.shape.multiplicities(), m) for c in problem.classes
+            selection_vectors(c.shape.multiplicities(), m) for c in problem.classes
         ]
         for combo in iter_product(*vector_sets):
             pairs = [

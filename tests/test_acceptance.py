@@ -128,7 +128,7 @@ def test_criterion_2_kappa_invariance_under_reduction():
         if not (rep.alpha and rep.beta):
             continue
         res = is_good(shapes)
-        kappas = set(res.trace.kappas)
+        kappas = {s.report.kappa for s in res.trace.steps}
         if len(kappas) != 1:
             ok = False
             break

@@ -702,7 +702,7 @@ class TestConsoleEntry:
             {"eigenvalues": [{"value": v, "multiplicity": 2, "blocks": [2]}]} for v in docs
         ]}))
         outputs = []
-        for command in ("special", "classify"):
+        for command in ("special", "classify", "generic"):
             proc = subprocess.run(
                 [sys.executable, "-m", "deligne_simpson.cli", command, str(path)],
                 capture_output=True,
@@ -710,7 +710,7 @@ class TestConsoleEntry:
             )
             assert (proc.returncode, proc.stderr) == (2, "")
             outputs.append(json.loads(proc.stdout))
-        assert outputs[0] == outputs[1] == {
+        assert outputs[0] == outputs[1] == outputs[2] == {
             "error": "ProblemError: inconsistent eigenvalue data: "
             "the total sum/product condition fails"
         }

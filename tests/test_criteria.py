@@ -8,14 +8,13 @@ from deligne_simpson import (
     JnfShape,
     Partition,
     is_good,
-    psi_reduce,
     rigidity_report,
 )
 from deligne_simpson import criteria
 from deligne_simpson.criteria import (
     CriteriaError,
-    PsiPreconditionError,
     TERMINAL_ALPHA_FAILED,
+    TERMINAL_BETA_FAILED,
     TERMINAL_N_EQUALS_1,
     max_block_labels,
 )
@@ -51,25 +50,28 @@ class TestRigidityReport:
 
 
 class TestPsiReduce:
+    """The reduction step, as `is_good` takes it: `trace.steps[i].n1` is
+    the size that level i reduces to, and step i + 1 holds the result."""
+
     def test_n4_first_step(self, n4_shapes):
-        red = psi_reduce(n4_shapes)
-        assert red.n1 == 3
-        assert red.shapes == (shape([3]), shape([1], [2]), shape([1], [1, 1]))
+        steps = is_good(n4_shapes).trace.steps
+        assert steps[0].n1 == 3
+        assert steps[1].shapes == (shape([3]), shape([1], [2]), shape([1], [1, 1]))
 
     def test_n3_tie_step(self):
         level = (shape([3]), shape([1], [2]), shape([1], [1, 1]))
-        red = psi_reduce(level)
-        assert red.n1 == 2
+        steps = is_good(level).trace.steps
+        assert steps[0].n1 == 2
         # canonical tie-break: first label of class 2 is decremented
-        assert red.shapes == (shape([2]), shape([2]), shape([1], [1]))
-        # the other tie branch is reachable by explicit choice
-        alt = psi_reduce(level, chosen_labels=(0, 1, 1))
-        assert alt.shapes == (shape([2]), shape([1], [1]), shape([1], [1]))
+        assert steps[1].shapes == (shape([2]), shape([2]), shape([1], [1]))
+        # the other tie branch
+        other = criteria._shrink(level, (0, 1, 1), 2)
+        assert other == (shape([2]), shape([1], [1]), shape([1], [1]))
 
     def test_n9_first_step(self, n9_shapes):
-        red = psi_reduce(n9_shapes)
-        assert red.n1 == 6
-        assert red.shapes == (
+        steps = is_good(n9_shapes).trace.steps
+        assert steps[0].n1 == 6
+        assert steps[1].shapes == (
             shape([2, 1], [1, 1, 1]),
             shape([2, 1], [1, 1, 1]),
             shape([2, 1], [2, 1]),
@@ -81,34 +83,18 @@ class TestPsiReduce:
         while applied < 40:
             n = rng.randint(2, 10)
             shapes = random_shape_tuple(rng, n, rng.randint(2, 5))
-            rep = rigidity_report(shapes)
-            if not (rep.alpha and rep.beta and not rep.omega and rep.sum_r - n >= 1):
-                continue
-            red = psi_reduce(shapes)
-            assert red.n1 == rep.sum_r - n
-            assert all(s.n == red.n1 for s in red.shapes)
-            applied += 1
-
-    def test_precondition_errors_name_the_failure(self, n4_shapes):
-        with pytest.raises(PsiPreconditionError) as err:
-            psi_reduce((shape([1]), shape([1])))
-        assert err.value.code == "size_one"
-        scalar = shape([1, 1])
-        with pytest.raises(PsiPreconditionError) as err:
-            psi_reduce((scalar, scalar, scalar))
-        assert err.value.code == "alpha"
-        regular = shape([1], [1], [1])
-        with pytest.raises(PsiPreconditionError) as err:
-            psi_reduce((regular, regular, regular))
-        assert err.value.code == "omega_holds"
+            steps = is_good(shapes).trace.steps
+            for step, after in zip(steps, steps[1:]):
+                assert step.n1 == step.report.sum_r - step.n
+                assert after.n == step.n1 and all(s.n == step.n1 for s in after.shapes)
+                applied += 1
 
     def test_beta_failure_names_its_classes(self):
         # alpha holds, omega fails, and deleting class 3 leaves r-sum 3 < 4
         thin = shape([2, 1, 1])
-        with pytest.raises(PsiPreconditionError) as err:
-            psi_reduce((thin, thin, thin, shape([1], [2], [1])))
-        assert err.value.code == "beta"
-        assert str(err.value) == "beta fails at classes [3]"
+        shapes = (thin, thin, thin, shape([1], [2], [1]))
+        assert rigidity_report(shapes).beta_failures == (3,)
+        assert is_good(shapes).trace.terminal == TERMINAL_BETA_FAILED
 
     def test_reducible_levels_have_positive_target_size(self):
         # beta gives n1 = sum r - n >= r_j >= 0, and n1 = 0 would force
@@ -118,28 +104,22 @@ class TestPsiReduce:
         while reducible < 300:
             n = rng.randint(2, 6)
             shapes = random_shape_tuple(rng, n, rng.randint(2, 5))
-            rep = rigidity_report(shapes)
-            if not (rep.alpha and rep.beta and not rep.omega):
-                continue
-            assert psi_reduce(shapes).n1 == rep.sum_r - n >= 1
-            reducible += 1
-
-    def test_invalid_choice_rejected(self, n4_shapes):
-        with pytest.raises(CriteriaError):
-            psi_reduce(n4_shapes, chosen_labels=(0, 1, 0))
+            for step in is_good(shapes).trace.steps[:-1]:
+                assert step.n1 == step.report.sum_r - step.n >= 1
+                reducible += 1
 
 
 class TestIsGood:
     def test_n4_triple_good(self, n4_shapes):
         res = is_good(n4_shapes)
         assert res.good
-        assert res.trace.levels == (4, 3, 2, 1)
+        assert tuple(s.n for s in res.trace.steps) == (4, 3, 2, 1)
         assert res.trace.terminal == TERMINAL_N_EQUALS_1
 
     def test_n9_triple_good(self, n9_shapes):
         res = is_good(n9_shapes)
         assert res.good
-        assert res.trace.levels == (9, 6, 4, 2, 1)
+        assert tuple(s.n for s in res.trace.steps) == (9, 6, 4, 2, 1)
 
     def test_scalar_triple_not_good(self):
         scalar = shape([1, 1])
@@ -158,7 +138,7 @@ class TestIsGood:
             n = rng.randint(2, 10)
             shapes = random_shape_tuple(rng, n, rng.randint(2, 5))
             res = is_good(shapes)
-            kappas = res.trace.kappas
+            kappas = [s.report.kappa for s in res.trace.steps]
             assert len(set(kappas)) == 1, (shapes, kappas)
             checked += 1
 
@@ -194,7 +174,7 @@ class TestIsGood:
         from itertools import product
 
         for choice in product(*(max_block_labels(s) for s in level)):
-            outcomes.add(psi_reduce(level, chosen_labels=choice).shapes)
+            outcomes.add(criteria._shrink(level, choice, 2))
         assert (shape([2]), shape([2]), shape([1], [1])) in outcomes
         assert (shape([2]), shape([1], [1]), shape([1], [1])) in outcomes
 

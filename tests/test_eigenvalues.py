@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
@@ -25,7 +26,6 @@ from deligne_simpson import (
     check_consistency,
     generate_generic,
     is_generic,
-    reduced_multiplicity_product,
 )
 from deligne_simpson import eigenvalues
 from deligne_simpson.eigenvalues import (
@@ -41,7 +41,6 @@ from deligne_simpson.eigenvalues import (
     _fold_classes,
     _primes_from,
     _selection_counts,
-    _selection_vectors,
     _value_keys,
     find_first_relation,
     relation_counts,
@@ -51,7 +50,7 @@ from deligne_simpson.jnf_core import JnfError
 from deligne_simpson.linalg import Matrix
 from deligne_simpson.witness import MatrixTuple, WitnessError
 
-from conftest import bruteforce_relations, gr, me, random_shape_tuple, shape
+from conftest import bruteforce_relations, gr, me, random_shape_tuple, selection_vectors, shape
 
 
 class TestConsistency:
@@ -206,6 +205,84 @@ class TestOneModeHome:
         assert _mode_branches(source) == []
 
 
+# Definitions that no engine path calls, kept because tests use them as
+# references or README documents them.
+_KEPT_UNCALLED = {
+    "eigenvalues.NonGenericityRelation.verify": "tests check every found witness with it",
+    "jnf_core.Partition.conjugate": "README lists conjugates; tests pin them",
+    "jnf_core.JnfShape.of": "README's library example builds shapes with it",
+    "linalg.sl_basis": "perfbench times it as a tangent phase; tests build oracles on it",
+}
+
+
+def _references(node) -> Counter:
+    """How often each name is used under `node`, as a variable, an
+    attribute or an import."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name.rpartition(".")[2]] += 1
+    return found
+
+
+def _unreferenced(sources: dict[str, str]) -> list[str]:
+    """Each non-dunder module function, class and method whose name is used
+    nowhere in `sources` (file name -> text) outside its own definition, as
+    "module.qualified_name".  An export from __init__ is an import there,
+    so it counts as a use.  The scan matches names only: a homonym such as
+    Matrix.is_zero would hide a GaussianRational.is_zero put back."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    everywhere = sum((_references(t) for t in trees.values()), Counter())
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                members = [m for m in node.body if isinstance(m, (ast.FunctionDef, ast.ClassDef))]
+                defs = [(node.name, node)] + [(f"{node.name}.{m.name}", m) for m in members]
+            elif isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node)]
+            else:
+                continue
+            for qualified, d in defs:
+                dunder = d.name.startswith("__") and d.name.endswith("__")
+                if not dunder and everywhere[d.name] == _references(d)[d.name]:
+                    found.append(f"{Path(name).stem}.{qualified}")
+    return found
+
+
+class TestNoTestOnlyCode:
+    """Every definition in the package is used by the package, exported
+    from it, or named in _KEPT_UNCALLED with its reason."""
+
+    def test_every_definition_is_used_or_exported(self):
+        sources = {p.name: p.read_text() for p in _SOURCES}
+        assert sorted(_unreferenced(sources)) == sorted(_KEPT_UNCALLED)
+
+    @pytest.mark.parametrize("file, old, new, name", [
+        ("eigenvalues.py", "# -- generation", (
+            "def reduced_multiplicity_product(problem, divisor):\n"
+            "    counts = [[mu // divisor for mu in c.shape.multiplicities()] for c in problem.classes]\n"
+            "    return _combined_value(problem.mode, problem.classes, counts)\n\n\n"
+            "# -- generation"
+        ), "eigenvalues.reduced_multiplicity_product"),
+        ("criteria.py", "    terminal: str\n", (
+            "    terminal: str\n\n"
+            "    @property\n"
+            "    def kappas(self):\n"
+            "        return tuple(s.report.kappa for s in self.steps)\n"
+        ), "criteria.PsiTrace.kappas"),
+    ], ids=["function", "method"])
+    def test_the_guard_finds_a_test_only_helper_put_back(self, file, old, new, name):
+        sources = {p.name: p.read_text() for p in _SOURCES}
+        assert sources[file].count(old) == 1
+        sources[file] = sources[file].replace(old, new)
+        assert sorted(_unreferenced(sources)) == sorted([*_KEPT_UNCALLED, name])
+
+
 class TestGenericity:
     def test_fourth_root_generic(self, double_blocks_generic):
         assert is_generic(double_blocks_generic).generic
@@ -315,16 +392,17 @@ _MAGNITUDE_POOL = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(4, 3), Fra
 
 
 def _inverse_of_combined(mode, terms):
-    """Inverse of the sum (product) of value * count over (value, count)."""
+    """Inverse of the sum (product) of value * count over (value, count),
+    built from the parts: the code under test, `mode.combine`, is no oracle
+    (and takes non-negative counts only, as int ** -1 is a float)."""
     if mode == ADDITIVE:
         total = gr(0)
         for v, k in terms:
             total = total + v * k
         return -total
-    total = MULT_ONE
-    for v, k in terms:
-        total = total * v.power(k)
-    return total.inverse()
+    angle = sum((v.angle * k for v, k in terms), Fraction(0))
+    magnitude = math.prod((v.magnitude**k for v, k in terms), start=Fraction(1))
+    return MultiplicativeEigenvalue(-angle, 1 / magnitude)
 
 
 def _random_consistent_problem(rng, mode, n, count, plant=0):
@@ -337,7 +415,7 @@ def _random_consistent_problem(rng, mode, n, count, plant=0):
     counts = dict.fromkeys(slots, 0)
     if plant:
         for j, s in enumerate(shapes):
-            t = rng.choice(_selection_vectors(s.multiplicities(), plant))
+            t = rng.choice(selection_vectors(s.multiplicities(), plant))
             counts.update(((j, i), c) for i, c in enumerate(t))
     absorbers = [(j, i) for j, i in slots if shapes[j].multiplicity(i) == 1 and not counts[j, i]]
     planted = [slot for slot in slots if counts[slot] == 1]
@@ -349,7 +427,7 @@ def _random_consistent_problem(rng, mode, n, count, plant=0):
         pool += [-v for v in pool]
     else:
         pool = [me(rng.choice(_ANGLE_POOL), rng.choice(_MAGNITUDE_POOL)) for _ in range(rng.randint(1, 6))]
-        pool += [v.inverse() for v in pool]
+        pool += [MultiplicativeEigenvalue(-v.angle, 1 / v.magnitude) for v in pool]
     values = {slot: rng.choice(pool) for slot in slots}
     if plant:
         p = rng.choice(planted)
@@ -522,7 +600,7 @@ class TestRelationCap:
             mults = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 5)))
             top = rng.randint(0, sum(mults) + 2)
             counts = _selection_counts(mults, top)
-            assert counts == [len(_selection_vectors(mults, m)) for m in range(top + 1)]
+            assert counts == [len(selection_vectors(mults, m)) for m in range(top + 1)]
 
 
 def _dict_fold_search(problem, cap=DEFAULT_RELATION_CAP):
@@ -659,11 +737,10 @@ class TestCombinedValue:
                 [rng.randint(0, 2 * mu) if rng.random() < 0.8 else 0 for mu in s.multiplicities()]
                 for s in shapes
             ]
-            expected = MULT_ONE
-            for c, t in zip(classes, counts):
-                for v, k in zip(c.values, t):
-                    expected = expected * v.power(k)
-            assert _combined_value(MULTIPLICATIVE, classes, counts) == expected
+            pairs = [(v, k) for c, t in zip(classes, counts) for v, k in zip(c.values, t)]
+            angle = sum((v.angle * k for v, k in pairs), Fraction(0))
+            magnitude = math.prod((v.magnitude**k for v, k in pairs), start=Fraction(1))
+            assert _combined_value(MULTIPLICATIVE, classes, counts) == me(angle, magnitude)
 
     def test_angles_wrap_past_one(self):
         classes = [ClassSpec(shape([1], [2]), [me("3/4", 2), me("5/6", "1/2")])]
@@ -677,14 +754,14 @@ def _bruteforce_relation(problem):
     """Independent direct-product enumeration, no meet-in-the-middle."""
     for m in range(1, problem.n):
         vector_sets = [
-            _selection_vectors(c.shape.multiplicities(), m) for c in problem.classes
+            selection_vectors(c.shape.multiplicities(), m) for c in problem.classes
         ]
         for combo in iter_product(*vector_sets):
             total = gr(0)
             for spec, counts in zip(problem.classes, combo):
                 for v, c in zip(spec.values, counts):
                     total = total + v * c
-            if total.is_zero():
+            if not total:
                 return (m, combo)
     return None
 
@@ -692,7 +769,7 @@ def _bruteforce_relation(problem):
 def _bruteforce_relation_multiplicative(problem):
     for m in range(1, problem.n):
         vector_sets = [
-            _selection_vectors(c.shape.multiplicities(), m) for c in problem.classes
+            selection_vectors(c.shape.multiplicities(), m) for c in problem.classes
         ]
         for combo in iter_product(*vector_sets):
             angle = Fraction(0)
@@ -715,22 +792,25 @@ class TestMultiplicativeArithmetic:
     @settings(max_examples=100, deadline=None)
     def test_associative_commutative(self, a, b, c):
         x, y, z = (MultiplicativeEigenvalue(v) for v in (a, b, c))
-        assert (x * y) * z == x * (y * z)
-        assert x * y == y * x
+        combine = MULTIPLICATIVE.combine
+        xy, yz = combine([(x, 1), (y, 1)]), combine([(y, 1), (z, 1)])
+        assert combine([(xy, 1), (z, 1)]) == combine([(x, 1), (yz, 1)])
+        assert xy == combine([(y, 1), (x, 1)])
 
     @given(st.fractions(min_value=0, max_value=1).filter(lambda f: f < 1),
            st.fractions(min_value=Fraction(1, 50), max_value=50))
     @settings(max_examples=100, deadline=None)
     def test_identity_detection_exact(self, angle, mag):
         v = MultiplicativeEigenvalue(angle, mag)
-        assert v.is_identity() == (angle == 0 and mag == 1)
-        assert (v * v.inverse()).is_identity()
+        assert (v == MULT_ONE) == (angle == 0 and mag == 1)
+        inverse = MultiplicativeEigenvalue(-v.angle, 1 / v.magnitude)
+        assert MULTIPLICATIVE.combine([(v, 1), (inverse, 1)]) == MULT_ONE
 
     def test_power_and_angle_wrap(self):
         v = me("2/3")
-        assert v.power(3).is_identity()
-        assert v.power(2) == me("1/3")
-        assert me("3/4", 2).power(2) == me("1/2", 4)
+        assert MULTIPLICATIVE.combine([(v, 3)]) == MULT_ONE
+        assert MULTIPLICATIVE.combine([(v, 2)]) == me("1/3")
+        assert MULTIPLICATIVE.combine([(me("3/4", 2), 2)]) == me("1/2", 4)
 
     def test_magnitude_must_be_positive(self):
         with pytest.raises(ProblemError):
@@ -746,26 +826,6 @@ class TestMultiplicativeArithmetic:
             w = MultiplicativeEigenvalue(raw, 3)
             assert type(w.angle) is Fraction and w.angle == wrapped
             assert type(w.magnitude) is Fraction and w.magnitude == 3
-
-
-class TestReducedMultiplicityProduct:
-    def test_minus_one_reduces_to_identity(self, double_blocks_nongeneric):
-        res = reduced_multiplicity_product(double_blocks_nongeneric, 2)
-        assert res.is_identity
-        assert res.value == MULT_ONE
-
-    def test_i_reduces_to_minus_one(self, double_blocks_generic):
-        res = reduced_multiplicity_product(double_blocks_generic, 2)
-        assert not res.is_identity
-        assert res.value == me("1/2")
-
-    def test_additive_always_identity(self, n9_problem):
-        res = reduced_multiplicity_product(n9_problem, 3)
-        assert res.is_identity and res.value.is_zero()
-
-    def test_nondivisible_multiplicity_rejected(self, n9_problem):
-        with pytest.raises(ProblemError):
-            reduced_multiplicity_product(n9_problem, 2)
 
 
 class TestGenerateGeneric:

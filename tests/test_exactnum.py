@@ -153,7 +153,7 @@ def _agree(x: GaussianRational, ref: FractionPair) -> None:
     assert (x.re, x.im) == (ref.re, ref.im)
     assert str(x) == str(ref)
     assert repr(x) == repr(ref)
-    assert bool(x) == bool(ref) and x.is_zero() == (not ref)
+    assert bool(x) == bool(ref)
     assert x.l1() == ref.l1()
 
 

@@ -23,7 +23,7 @@ from deligne_simpson import (
     is_good,
     rigidity_report,
 )
-from deligne_simpson import eigenvalues, solver
+from deligne_simpson import eigenvalues
 from deligne_simpson.linalg import Matrix
 from deligne_simpson.witness import MatrixTuple
 
@@ -86,7 +86,6 @@ class TestClassify:
             calls.append(problem)
             return check_consistency(problem)
 
-        monkeypatch.setattr(solver, "check_consistency", counted)
         monkeypatch.setattr(eigenvalues, "check_consistency", counted)
         for problem in (rigid_n2_problem, n4_special_problem):
             calls.clear()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from deligne_simpson import (
     MULTIPLICATIVE,
     ClassSpec,
     JnfShape,
+    MultiplicativeEigenvalue,
     Partition,
     TupleProblem,
     check_consistency,
@@ -20,7 +22,7 @@ from deligne_simpson import (
 )
 from deligne_simpson import special as special_module
 from deligne_simpson.criteria import is_good, rigidity_report
-from deligne_simpson.eigenvalues import MULT_ONE, RelationSearchCapError
+from deligne_simpson.eigenvalues import RelationSearchCapError
 from deligne_simpson.jnf_core import JnfError
 from deligne_simpson.special import SpecialSearchError, _n_fold_union
 
@@ -162,10 +164,11 @@ def _family_problem(rng, mode, family):
             )
             for slot in rest
         }
-        total = MULT_ONE
-        for slot, v in values.items():
-            total = total * v.power(inner[slot])
-        values[absorber] = total.inverse()
+        angle = sum((v.angle * inner[slot] for slot, v in values.items()), Fraction(0))
+        magnitude = math.prod(
+            (v.magnitude ** inner[slot] for slot, v in values.items()), start=Fraction(1)
+        )
+        values[absorber] = MultiplicativeEigenvalue(-angle, 1 / magnitude)
     try:
         classes = [
             ClassSpec(s, [values[j, i] for i in range(s.label_count)])
