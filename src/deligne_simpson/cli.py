@@ -22,7 +22,6 @@ from .eigenvalues import (
     GenericAssignmentError,
     NonGenericityRelation,
     ProblemError,
-    RelationSearchCapError,
     TupleProblem,
     _mode_of,
     _require_consistency,
@@ -35,7 +34,6 @@ from .linalg import LinalgError, Matrix
 from .solver import UNKNOWN, Verdict, apply_subordinate_witness, classify
 from .special import SpecialSearchError, classify_specialness
 from .witness import (
-    DeformationError,
     MatrixTuple,
     WitnessError,
     WitnessMismatchError,
@@ -70,11 +68,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _rational(text, path: str):
-    """A document value's or a flag's exact rational; errors name the path."""
+def _at(path: str, build, *args):
+    """build(*args), with an engine refusal turned into an input error that
+    names the JSON path (or flag) it came from."""
     try:
-        return parse_rational(text)
-    except ExactNumberError as exc:
+        return build(*args)
+    except (ExactNumberError, ProblemError, JnfError, WitnessError) as exc:
         raise CliInputError(f"{path}: {exc}") from exc
 
 
@@ -83,21 +82,25 @@ def _parse_value(doc, mode, path: str):
     key, other, default = mode.fields
     # the required key, the optional one when present, and nothing else
     _expect(key in doc and len(doc) == 1 + (other in doc), path, mode.hint)
-    try:
-        return mode.value_type(doc[key], doc.get(other, default))
-    except (ExactNumberError, ProblemError) as exc:
-        raise CliInputError(f"{path}: {exc}") from exc
+    return _at(path, mode.value_type, doc[key], doc.get(other, default))
 
 
-def parse_problem(doc) -> TupleProblem:
-    """Validate and convert a problem document; errors carry JSON paths."""
-    _expect(isinstance(doc, dict), "$", "problem document must be an object")
+def _parse_header(doc, kind: str, items: str):
+    """The mode, n and non-empty `items` list of a problem or witness
+    document."""
+    _expect(isinstance(doc, dict), "$", f"{kind} document must be an object")
     mode = _mode_of(doc.get("mode"))
     _expect(mode is not None, "mode", "must be 'additive' or 'multiplicative'")
     n = doc.get("n")
     _expect(_is_int(n) and n >= 1, "n", "must be a positive integer")
-    classes_doc = doc.get("classes")
-    _expect(isinstance(classes_doc, list) and classes_doc, "classes", "must be a non-empty list")
+    listed = doc.get(items)
+    _expect(isinstance(listed, list) and listed, items, "must be a non-empty list")
+    return mode, n, listed
+
+
+def parse_problem(doc) -> TupleProblem:
+    """Validate and convert a problem document; errors carry JSON paths."""
+    mode, n, classes_doc = _parse_header(doc, "problem", "classes")
     classes = []
     for j, cdoc in enumerate(classes_doc):
         cpath = f"classes[{j}]"
@@ -113,32 +116,18 @@ def parse_problem(doc) -> TupleProblem:
             mult = edoc.get("multiplicity")
             _expect(_is_int(mult) and mult >= 1, f"{epath}.multiplicity", "must be a positive integer")
             blocks = edoc.get("blocks")
-            _expect(
-                isinstance(blocks, list) and blocks and all(_is_int(b) for b in blocks),
-                f"{epath}.blocks",
-                "must be a non-empty list of integers",
-            )
-            try:
-                part = Partition(blocks)
-            except JnfError as exc:
-                raise CliInputError(f"{epath}.blocks: {exc}") from exc
-            _expect(
-                part.size == mult,
-                f"{epath}.blocks",
-                f"block sizes sum to {part.size}, multiplicity is {mult}",
-            )
+            # Partition drops zero parts, which would not survive a round trip
+            _expect(isinstance(blocks, list) and blocks and all(_is_int(b) and b > 0 for b in blocks),
+                    f"{epath}.blocks", "must be a non-empty list of positive integers")
+            part = Partition(blocks)
+            _expect(part.size == mult, f"{epath}.blocks",
+                    f"block sizes sum to {part.size}, multiplicity is {mult}")
             partitions.append(part)
             values.append(value)
             total += mult
         _expect(total == n, cpath, f"multiplicities sum to {total}, expected n = {n}")
-        try:
-            classes.append(ClassSpec(JnfShape(partitions), values))
-        except JnfError as exc:
-            raise CliInputError(f"{cpath}: {exc}") from exc
-    try:
-        return TupleProblem(mode, n, classes)
-    except ProblemError as exc:
-        raise CliInputError(f"$: {exc}") from exc
+        classes.append(_at(cpath, ClassSpec, JnfShape(partitions), values))
+    return _at("$", TupleProblem, mode, n, classes)
 
 
 def serialize_problem(problem: TupleProblem) -> dict:
@@ -163,28 +152,15 @@ def serialize_problem(problem: TupleProblem) -> dict:
 
 def _parse_matrices(doc) -> tuple[str, list[Matrix]]:
     """Mode and matrices of a witness document, not yet a tuple."""
-    _expect(isinstance(doc, dict), "$", "witness document must be an object")
-    mode = _mode_of(doc.get("mode"))
-    _expect(mode is not None, "mode", "must be a known mode")
-    n = doc.get("n")
-    _expect(_is_int(n) and n >= 1, "n", "must be a positive integer")
-    mats_doc = doc.get("matrices")
-    _expect(isinstance(mats_doc, list) and mats_doc, "matrices", "must be a non-empty list")
+    mode, n, mats_doc = _parse_header(doc, "witness", "matrices")
     matrices = []
     for j, mdoc in enumerate(mats_doc):
         mpath = f"matrices[{j}]"
-        _expect(
-            isinstance(mdoc, list) and len(mdoc) == n,
-            mpath,
-            f"must be a list of {n} rows",
-        )
+        _expect(isinstance(mdoc, list) and len(mdoc) == n, mpath, f"must be a list of {n} rows")
         rows = []
         for i, rdoc in enumerate(mdoc):
-            _expect(
-                isinstance(rdoc, list) and len(rdoc) == n,
-                f"{mpath}[{i}]",
-                f"must be a list of {n} entries",
-            )
+            _expect(isinstance(rdoc, list) and len(rdoc) == n, f"{mpath}[{i}]",
+                    f"must be a list of {n} entries")
             rows.append(
                 tuple(_parse_value(e, ADDITIVE, f"{mpath}[{i}][{k}]") for k, e in enumerate(rdoc))
             )
@@ -194,11 +170,7 @@ def _parse_matrices(doc) -> tuple[str, list[Matrix]]:
 
 
 def parse_witness(doc) -> MatrixTuple:
-    mode, matrices = _parse_matrices(doc)
-    try:
-        return MatrixTuple(mode, matrices)
-    except WitnessError as exc:
-        raise CliInputError(f"$: {exc}") from exc
+    return _at("$", MatrixTuple, *_parse_matrices(doc))
 
 
 def serialize_witness(t: MatrixTuple) -> dict:
@@ -275,24 +247,18 @@ def _certificate_json(cert):
 
 def _render_human(report, indent: int = 0) -> str:
     pad = "  " * indent
-    lines = []
     if isinstance(report, dict):
-        for key in sorted(report):
-            value = report[key]
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(_render_human(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {value}")
+        items = [(f"{key}:", report[key]) for key in sorted(report)]
     elif isinstance(report, list):
-        for value in report:
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(_render_human(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {value}")
+        items = [("-", value) for value in report]
     else:
-        lines.append(f"{pad}{report}")
+        return f"{pad}{report}"
+    lines = []
+    for label, value in items:
+        if isinstance(value, (dict, list)):
+            lines += [f"{pad}{label}", _render_human(value, indent + 1)]
+        else:
+            lines.append(f"{pad}{label} {value}")
     return "\n".join(lines)
 
 
@@ -452,8 +418,8 @@ def _cmd_deform(args) -> tuple[int, dict]:
     base = _load_witness(args.base)
     # directions are drift matrices, not a tuple: they need not be invertible
     _, directions = _parse_matrices(_load_json(args.directions))
-    epsilon = _rational(args.epsilon, "--epsilon")
-    tolerance = _rational(args.tolerance, "--tolerance")
+    epsilon = _at("--epsilon", parse_rational, args.epsilon)
+    tolerance = _at("--tolerance", parse_rational, args.tolerance)
     result = deform_step(base, directions, epsilon)
     within = result.residual <= tolerance
     doc = serialize_witness(result.deformed)
@@ -471,11 +437,14 @@ def _cmd_deform(args) -> tuple[int, dict]:
     return (EXIT_OK if within else EXIT_NEGATIVE), report
 
 
+# the one JSON writer, for reports on stdout and documents written by --output
+_to_json = json.JSONEncoder(indent=2, sort_keys=True).encode
+
+
 def _write_json(path: str, doc) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_to_json(doc) + "\n")
     except OSError as exc:
         raise CliInputError(f"cannot write {path}: {exc}") from exc
 
@@ -492,7 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact decision and verification tools for matrix tuples "
         "with prescribed conjugacy classes (sum zero or product identity).",
     )
-    parser.add_argument("--human", action="store_true", help="prose report instead of JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, relation_cap=False, exhaustive_ties=False):
@@ -503,8 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if exhaustive_ties:
             p.add_argument("--exhaustive-ties", action="store_true",
                            help="explore every tie branch of the reduction chain")
-        p.add_argument("--human", action="store_true",
-                       help="prose report instead of JSON")
 
     p = sub.add_parser("classify", help="full solvability verdict")
     add_common(p, relation_cap=True, exhaustive_ties=True)
@@ -549,10 +515,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="acceptable residual for exit status 0, an exact rational "
                    "such as 1e-3 or 1/1000")
     p.add_argument("--output", help="write the deformed witness here")
-    p.add_argument("--human", action="store_true",
-                   help="prose report instead of JSON")
     p.set_defaults(func=_cmd_deform)
 
+    # on the command and on each subcommand (an alias shares its command's
+    # parser), so that it may come before or after the command name; `main`
+    # reads it from argv, where either place counts
+    for p in {parser, *sub.choices.values()}:
+        p.add_argument("--human", action="store_true", help="prose report instead of JSON")
     return parser
 
 
@@ -564,8 +533,7 @@ def run_command(argv) -> tuple[int, dict]:
         return args.func(args)
     except (CliInputError, WitnessMismatchError) as exc:
         return EXIT_INPUT, {"error": str(exc)}
-    except (ProblemError, JnfError, WitnessError, SpecialSearchError,
-            RelationSearchCapError, TieVerdictError, DeformationError,
+    except (ProblemError, JnfError, WitnessError, SpecialSearchError, TieVerdictError,
             LinalgError) as exc:
         return EXIT_INPUT, {"error": f"{type(exc).__name__}: {exc}"}
 
@@ -576,10 +544,7 @@ def main(argv=None) -> int:
     human = "--human" in argv
     code, report = run_command(argv)
     try:
-        if human:
-            print(_render_human(report))
-        else:
-            print(json.dumps(report, indent=2, sort_keys=True))
+        print(_render_human(report) if human else _to_json(report))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (dsp ... | head): send what is left, and

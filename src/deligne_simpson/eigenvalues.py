@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import accumulate, compress
 
 from .exactnum import GR_ZERO, GaussianRational, format_rational, parse_rational
 from .jnf_core import ClassSpec, JnfError, JnfShape
@@ -481,21 +481,23 @@ def _key_totals(mults, keys, wrap: int):
 
     A dynamic program over the labels: rows[i][c] holds the totals of the
     count vectors over the first i labels with sum c, and row c of label i
-    takes t <= min(mu_i, c) copies of key_i onto row c - t of label i - 1.
-    Each step adds the row of one more m, so a search that stops early
-    builds nothing for larger m.  Equal residues mean equal values: the
-    residue of a total is the key of the selected values' combined value,
-    and `_value_keys` makes those keys distinct mod wrap."""
+    takes t <= min(mu_i, c) copies of key_i onto row c - t of label i - 1,
+    which is empty unless c - t <= `before`, the multiplicities before
+    label i: so a label costs O(mu_i) per row, not O(m).  Each step adds
+    the row of one more m, so a search that stops early builds nothing
+    for larger m.  Equal residues mean equal values: the residue of a
+    total is the key of the selected values' combined value, and
+    `_value_keys` makes those keys distinct mod wrap."""
     rows = [[{0}] for _ in range(len(mults) + 1)]
+    labels = list(zip(mults, keys, accumulate(mults, initial=0)))
     m = 0
     while True:
         m += 1
         rows[0].append(set())
-        for i, (mu, k) in enumerate(zip(mults, keys)):
+        for i, (mu, k, before) in enumerate(labels):
             below = rows[i]
-            rows[i + 1].append(
-                {(x + t * k) % wrap for t in range(min(mu, m) + 1) for x in below[m - t]}
-            )
+            counts = range(max(0, m - before), min(mu, m) + 1)
+            rows[i + 1].append({(x + t * k) % wrap for t in counts for x in below[m - t]})
         yield rows[-1][m]
 
 

@@ -2,9 +2,12 @@
 
 Every verdict-grade computation in this package runs over the field Q(i).
 Floats are rejected at construction time; callers that want float output
-convert explicitly at the edges.  A Gaussian rational (a + b*i)/d is held
-as one integer triple with d > 0 and gcd(a, b, d) = 1, so its arithmetic
-is integer arithmetic and one gcd per result.
+convert explicitly at the edges.  A rational is read by one function,
+`_ratio`, from a JSON integer or a text of one grammar: "p/q", an integer
+or a decimal such as "1.5" or "1e-3", with an exponent of at most 3
+digits.  A Gaussian rational (a + b*i)/d is held as one integer triple
+with d > 0 and gcd(a, b, d) = 1, so its arithmetic is integer arithmetic
+and one gcd per result.
 """
 
 from __future__ import annotations
@@ -30,57 +33,43 @@ _RATIONAL = re.compile(
 
 def parse_rational(text) -> Fraction:
     """Parse "p/q", "p" or a decimal like "1.5" or "1e-3" (optionally
-    signed, exponent of at most 3 digits) into an exact Fraction."""
-    if isinstance(text, Fraction):
-        return text
-    # JSON true/false arrive as bool, which subclasses int
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if isinstance(text, float):
-        raise ExactNumberError(f"refusing float {text!r}; pass a string like '1/3'")
-    if not isinstance(text, str):
-        raise ExactNumberError(f"cannot parse {text!r} as a rational")
-    m = _RATIONAL.fullmatch(text.strip())
-    if not m:
-        raise ExactNumberError(f"malformed rational {text!r}: expected p/q, an integer "
-                               "or a decimal such as 1.5 or 1e-3 (exponent <= 3 digits)")
-    ratio = _group_ratio(m)
-    if ratio is not None:
-        return Fraction(*ratio)
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ExactNumberError(f"malformed rational {text!r}: {exc}") from exc
-
-
-def _group_ratio(m) -> tuple[int, int] | None:
-    """(p, q) with q > 0, read off the groups of a grammar match of an
-    integer or p/q text.  None for a decimal, a zero denominator or a part
-    past int's digit limit: those take Fraction's path and its errors."""
-    if m["int"] or m["den"]:
-        try:
-            p, q = int(m["int"] or m["num"]), int(m["den"] or 1)
-        except ValueError:  # past int's digit limit
-            return None
-        if q:
-            return (-p if m["sign"] == "-" else p), q
-    return None
+    signed, exponent of at most 3 digits) into an exact Fraction; a
+    Fraction is returned as it is."""
+    return text if type(text) is Fraction else Fraction(*_ratio(text))
 
 
 def _ratio(text) -> tuple[int, int]:
-    """(p, q) with q > 0 and p/q the value of parse_rational(text), not
-    necessarily in lowest terms.  Integers and p/q texts are read off the
-    grammar's groups without a Fraction; anything else, and every error,
-    goes through parse_rational."""
+    """(p, q) with q > 0 and p/q the value of `text`, not necessarily in
+    lowest terms: a text of the grammar, an int (not a bool) or a Fraction.
+    Integers and p/q texts are read off the grammar's groups, a decimal by
+    Fraction's own parser; a zero denominator and a part past int's digit
+    limit are refused with Fraction's error texts."""
     if isinstance(text, str):
         m = _RATIONAL.fullmatch(text.strip())
-        ratio = m and _group_ratio(m)
-        if ratio:
-            return ratio
-    elif isinstance(text, int) and not isinstance(text, bool):
+        if not m:
+            raise ExactNumberError(f"malformed rational {text!r}: expected p/q, an integer "
+                                   "or a decimal such as 1.5 or 1e-3 (exponent <= 3 digits)")
+        sign, num, den, whole = m.groups()
+        try:
+            if not (whole or den):
+                x = Fraction(m[0])
+                return x.numerator, x.denominator
+            p, q = int(whole or num), int(den or 1)
+        except ValueError as exc:  # past int's digit limit
+            raise ExactNumberError(f"malformed rational {text!r}: {exc}") from exc
+        if sign == "-":
+            p = -p
+        if not q:
+            raise ExactNumberError(f"malformed rational {text!r}: Fraction({p}, 0)")
+        return p, q
+    # JSON true/false arrive as bool, which subclasses int
+    if isinstance(text, int) and not isinstance(text, bool):
         return text, 1
-    x = parse_rational(text)
-    return x.numerator, x.denominator
+    if isinstance(text, Fraction):
+        return text.numerator, text.denominator
+    if isinstance(text, float):
+        raise ExactNumberError(f"refusing float {text!r}; pass a string like '1/3'")
+    raise ExactNumberError(f"cannot parse {text!r} as a rational")
 
 
 def format_rational(x: Fraction) -> str:

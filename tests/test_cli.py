@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from deligne_simpson import ADDITIVE, MULTIPLICATIVE, ClassSpec, JnfShape, TupleProblem, cli
+from deligne_simpson.eigenvalues import DEFAULT_RELATION_CAP
 from deligne_simpson.exactnum import ExactNumberError, parse_rational
 from deligne_simpson.cli import (
     CliInputError,
@@ -60,6 +64,18 @@ class TestParseProblem:
         with pytest.raises(CliInputError) as err:
             parse_problem(doc)
         assert "blocks" in str(err.value)
+
+    @pytest.mark.parametrize("blocks", [[2, 0], [0, 2], [3, -1], [0]])
+    def test_block_sizes_must_be_positive(self, blocks):
+        """Partition drops zero parts, so a zero block would not survive a
+        round trip; the document refuses every non-positive size."""
+        doc = _load("nilpotent_n2.json")
+        doc["classes"][0]["eigenvalues"][0]["blocks"] = blocks
+        with pytest.raises(CliInputError) as err:
+            parse_problem(doc)
+        assert str(err.value) == (
+            "classes[0].eigenvalues[0].blocks: must be a non-empty list of positive integers"
+        )
 
     def test_roundtrip_random_problems(self):
         rng = random.Random(71)
@@ -594,6 +610,62 @@ class TestOptionsPerCommand:
                 main(argv)
             assert exc.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _commands() -> dict:
+    """Each command name of dsp, aliases included, and its subparser."""
+    (action,) = [
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def _long_options(parser) -> set[str]:
+    return {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+
+
+class TestArgumentSurface:
+    PROBLEM = str(SAMPLES / "rigid_n2_problem.json")
+    WITNESS = str(SAMPLES / "rigid_n2_witness.json")
+    OPERANDS = {
+        "classify": [PROBLEM], "good": [PROBLEM], "psi-trace": [PROBLEM],
+        "generic": [PROBLEM], "special": [PROBLEM], "verify": [PROBLEM, WITNESS],
+        "dim": [PROBLEM],
+        "deform": [WITNESS, str(SAMPLES / "deform_directions_n2.json"), "--epsilon", "1/2"],
+    }
+
+    def test_human_on_either_side_and_cap_defaults(self, capsys):
+        parser = cli._build_parser()
+        assert set(_commands()) == set(self.OPERANDS)
+        for command, operands in self.OPERANDS.items():
+            for argv in (["--human", command, *operands], [command, *operands, "--human"]):
+                assert parser.parse_args(argv).func is not None
+                code, _ = run_command(argv)
+                assert main(argv) == code
+                out = capsys.readouterr().out
+                assert out and not out.startswith("{"), argv
+        # generic's None default, which tells an explicit cap from none,
+        # stays its own: the other two commands keep the default cap
+        caps = {"generic": None, "classify": DEFAULT_RELATION_CAP,
+                "special": DEFAULT_RELATION_CAP}
+        for command, cap in caps.items():
+            assert parser.parse_args([command, self.PROBLEM]).relation_cap == cap
+
+
+def test_readme_flag_table_lists_each_commands_options():
+    """The README table "command | flags besides `--human`" names exactly
+    the long options of every command (aliases share their row)."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| command | flags besides `--human` |\n")[1].split("\n\n")[0]
+    documented = {}
+    for row in table.splitlines()[1:]:
+        names, flags = row.strip("|").split("|")
+        for name in re.findall(r"`([a-z-]+)`", names):
+            documented[name] = set(re.findall(r"`(--[a-z-]+)", flags))
+    actual = {
+        name: _long_options(p) - {"--help", "--human"} for name, p in _commands().items()
+    }
+    assert documented == actual
 
 
 class TestParserBuiltOnce:

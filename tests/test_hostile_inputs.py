@@ -112,16 +112,34 @@ def _run_dsp(argv, timeout):
     )
 
 
-def test_generate_at_huge_n_is_certified_not_searched(tmp_path):
-    # three classes with labels of multiplicity n - 1 and 1: the relation
-    # search walks all n // 2 cardinalities, generation needs none of them
-    n = 20000
+HUGE_N = 20000
+
+
+def _huge_n_problem(tmp_path):
+    """Three classes with labels of multiplicity n - 1 and 1 at n = HUGE_N:
+    the relation search walks all n // 2 cardinalities."""
+    n = HUGE_N
     eigenvalues = [{"value": {"re": "1"}, "multiplicity": n - 1, "blocks": [n - 1]},
                    {"value": {"re": str(1 - n)}, "multiplicity": 1, "blocks": [1]}]
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"mode": "additive", "n": n,
                                 "classes": [{"eigenvalues": eigenvalues}] * 3}))
-    proc = _run_dsp(["generic", str(path), "--generate"], 10)
+    return str(path)
+
+
+def test_generate_at_huge_n_is_certified_not_searched(tmp_path):
+    # generation needs none of the search's cardinalities
+    proc = _run_dsp(["generic", _huge_n_problem(tmp_path), "--generate"], 10)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
-    assert report["generated"] is True and report["problem"]["n"] == n
+    assert report["generated"] is True and report["problem"]["n"] == HUGE_N
+
+
+@pytest.mark.parametrize("command", ["generic", "classify"])
+def test_relation_search_at_huge_n_is_linear_per_label(tmp_path, command):
+    # a label's key totals at cardinality m take only the counts its
+    # predecessors can complete, so a multiplicity-1 label after one of
+    # multiplicity n - 1 costs O(1) per m, not O(m), and the search O(n)
+    proc = _run_dsp([command, _huge_n_problem(tmp_path)], 10)
+    assert proc.stderr == ""
+    assert proc.returncode == 0
