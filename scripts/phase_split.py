@@ -14,14 +14,14 @@ imported read-only).  Its installation plan is cut down to the phase
 functions, which it rebinds wherever a module holds them, and a phase's
 time is `Tracer._outer_time` of its names, so a call made while the same
 phase is already open adds nothing.  The plan holds public functions only,
-so the two private parsers of `cli` are wrapped here with the tracer's own
-`wrap`.  Phases nest (the special search runs `is_good` and the relation
-search), so shares may sum to more than 1.  `calls` counts every call of a
-phase's functions, nested ones too.  `wall_s` is the time spent inside
-`cli.main`; `counters_s` is the time of the tracer's counter hooks, which
-run after the search, `is_good` and the special search return and land in
-the enclosing phase, if any; `other_s` is the rest of `wall_s` outside
-every phase and hook.
+so `cli`'s private reader, witness parser and JSON writer are wrapped here
+with the tracer's own `wrap`.  Phases nest (the special search runs
+`is_good` and the relation search), so shares may sum to more than 1.
+`calls` counts every call of a phase's functions, nested ones too.
+`wall_s` is the time spent inside `cli.main`; `counters_s` is the time of
+the tracer's counter hooks, which run after the search, `is_good` and the
+special search return and land in the enclosing phase, if any; `other_s`
+is the rest of `wall_s` outside every phase and hook.
 
 Only the phase functions are wrapped because a span on every public call
 inflates the phases that call small helpers: over 60 screens rounds,
@@ -52,7 +52,7 @@ import workloads
 from deligne_simpson import cli
 
 ROUNDS = 60
-PRIVATE = ("_load_json", "_parse_matrices")
+PRIVATE = ("_load_json", "_parse_matrices", "_to_json")
 PHASES = {
     "parse": ["cli._load_json", "cli.parse_problem", "cli.parse_witness", "cli._parse_matrices"],
     "rigidity_report": ["criteria.rigidity_report"],
@@ -64,7 +64,7 @@ PHASES = {
         "witness.euler_characteristic", "witness.local_dimension",
     ],
     "deform_step": ["witness.deform_step"],
-    "json_encode": ["cli.json.dumps"],
+    "json_encode": ["cli._to_json"],
 }
 TIMED = {n for names in PHASES.values() for n in names}
 

@@ -1,10 +1,14 @@
 """Command-line surface: problem/witness ingestion and machine reports.
 
 Commands: classify, good (alias psi-trace), generic, special, verify, dim,
-deform.
-Reports are JSON with sorted keys (byte-stable for identical inputs); pass
---human for a prose rendering.  Exit status: 0 success, 1 negative/unknown
-answer where documented, 2 input error.
+deform.  Flags are spelled in full: an abbreviation is an unrecognized
+argument.
+Problem and witness documents are checked in one pass, and a refusal names
+the JSON path it came from.  Reports are JSON with sorted keys (byte-stable
+for identical inputs), written by one writer whose text is
+json.dumps(report, indent=2, sort_keys=True); pass --human for a prose
+rendering.  Exit status: 0 success, 1 negative/unknown answer where
+documented, 2 input error.
 """
 
 from __future__ import annotations
@@ -56,16 +60,15 @@ class CliInputError(ValueError):
 
 
 # -- document parsing ----------------------------------------------------------
+#
+# A path is formatted only for a refusal.  Inside a list, a check gives only
+# the rest of its path (a field, or "" for the item itself), and the `except`
+# around the list's loop puts the item's indices in front.
 
 
 def _expect(condition: bool, path: str, message: str):
     if not condition:
         raise CliInputError(f"{path}: {message}")
-
-
-def _is_int(x) -> bool:
-    # JSON true/false arrive as bool, which subclasses int
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _at(path: str, build, *args):
@@ -92,7 +95,8 @@ def _parse_header(doc, kind: str, items: str):
     mode = _mode_of(doc.get("mode"))
     _expect(mode is not None, "mode", "must be 'additive' or 'multiplicative'")
     n = doc.get("n")
-    _expect(_is_int(n) and n >= 1, "n", "must be a positive integer")
+    # exactly int: JSON true/false arrive as bool, which subclasses int
+    _expect(type(n) is int and n >= 1, "n", "must be a positive integer")
     listed = doc.get(items)
     _expect(isinstance(listed, list) and listed, items, "must be a non-empty list")
     return mode, n, listed
@@ -101,32 +105,36 @@ def _parse_header(doc, kind: str, items: str):
 def parse_problem(doc) -> TupleProblem:
     """Validate and convert a problem document; errors carry JSON paths."""
     mode, n, classes_doc = _parse_header(doc, "problem", "classes")
-    classes = []
-    for j, cdoc in enumerate(classes_doc):
-        cpath = f"classes[{j}]"
-        _expect(isinstance(cdoc, dict), cpath, "must be an object")
-        evs = cdoc.get("eigenvalues")
-        _expect(isinstance(evs, list) and evs, f"{cpath}.eigenvalues", "must be a non-empty list")
-        partitions, values = [], []
-        total = 0
-        for k, edoc in enumerate(evs):
-            epath = f"{cpath}.eigenvalues[{k}]"
-            _expect(isinstance(edoc, dict), epath, "must be an object")
-            value = _parse_value(edoc.get("value"), mode, f"{epath}.value")
-            mult = edoc.get("multiplicity")
-            _expect(_is_int(mult) and mult >= 1, f"{epath}.multiplicity", "must be a positive integer")
-            blocks = edoc.get("blocks")
-            # Partition drops zero parts, which would not survive a round trip
-            _expect(isinstance(blocks, list) and blocks and all(_is_int(b) and b > 0 for b in blocks),
-                    f"{epath}.blocks", "must be a non-empty list of positive integers")
-            part = Partition(blocks)
-            _expect(part.size == mult, f"{epath}.blocks",
-                    f"block sizes sum to {part.size}, multiplicity is {mult}")
-            partitions.append(part)
-            values.append(value)
-            total += mult
-        _expect(total == n, cpath, f"multiplicities sum to {total}, expected n = {n}")
-        classes.append(_at(cpath, ClassSpec, JnfShape(partitions), values))
+    classes, k = [], None
+    try:
+        for j, cdoc in enumerate(classes_doc):
+            _expect(isinstance(cdoc, dict), "", "must be an object")
+            evs = cdoc.get("eigenvalues")
+            _expect(isinstance(evs, list) and evs, ".eigenvalues", "must be a non-empty list")
+            partitions, values, total = [], [], 0
+            for k, edoc in enumerate(evs):
+                _expect(isinstance(edoc, dict), "", "must be an object")
+                values.append(_parse_value(edoc.get("value"), mode, ".value"))
+                mult = edoc.get("multiplicity")
+                _expect(type(mult) is int and mult >= 1, ".multiplicity", "must be a positive integer")
+                blocks = edoc.get("blocks")
+                # Partition drops zero parts, which would not survive a round trip
+                _expect(isinstance(blocks, list) and blocks
+                        and all(type(b) is int and b > 0 for b in blocks),
+                        ".blocks", "must be a non-empty list of positive integers")
+                part = Partition(blocks)
+                if part.size != mult:
+                    raise CliInputError(
+                        f".blocks: block sizes sum to {part.size}, multiplicity is {mult}")
+                partitions.append(part)
+                total += mult
+            k = None  # back at the class
+            if total != n:
+                raise CliInputError(f": multiplicities sum to {total}, expected n = {n}")
+            classes.append(_at("", ClassSpec, JnfShape(partitions), values))
+    except CliInputError as exc:
+        label = "" if k is None else f".eigenvalues[{k}]"
+        raise CliInputError(f"classes[{j}]{label}{exc}") from exc
     return _at("$", TupleProblem, mode, n, classes)
 
 
@@ -154,18 +162,25 @@ def _parse_matrices(doc) -> tuple[str, list[Matrix]]:
     """Mode and matrices of a witness document, not yet a tuple."""
     mode, n, mats_doc = _parse_header(doc, "witness", "matrices")
     matrices = []
-    for j, mdoc in enumerate(mats_doc):
-        mpath = f"matrices[{j}]"
-        _expect(isinstance(mdoc, list) and len(mdoc) == n, mpath, f"must be a list of {n} rows")
-        rows = []
-        for i, rdoc in enumerate(mdoc):
-            _expect(isinstance(rdoc, list) and len(rdoc) == n, f"{mpath}[{i}]",
-                    f"must be a list of {n} entries")
-            rows.append(
-                tuple(_parse_value(e, ADDITIVE, f"{mpath}[{i}][{k}]") for k, e in enumerate(rdoc))
-            )
-        # n rows of n Gaussian rationals each, checked above
-        matrices.append(Matrix._of(tuple(rows)))
+    try:
+        for j, mdoc in enumerate(mats_doc):
+            i = k = None
+            if not (isinstance(mdoc, list) and len(mdoc) == n):
+                raise CliInputError(f": must be a list of {n} rows")
+            rows = []
+            for i, rdoc in enumerate(mdoc):
+                k = None
+                if not (isinstance(rdoc, list) and len(rdoc) == n):
+                    raise CliInputError(f": must be a list of {n} entries")
+                row = []
+                for k, e in enumerate(rdoc):
+                    row.append(_parse_value(e, ADDITIVE, ""))
+                rows.append(tuple(row))
+            # n rows of n Gaussian rationals each, checked above
+            matrices.append(Matrix._of(tuple(rows)))
+    except CliInputError as exc:
+        at = "".join(f"[{x}]" for x in (i, k) if x is not None)
+        raise CliInputError(f"matrices[{j}]{at}{exc}") from exc
     return mode, matrices
 
 
@@ -273,14 +288,6 @@ def _load_json(path: str):
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_problem(path: str) -> TupleProblem:
-    return parse_problem(_load_json(path))
-
-
-def _load_witness(path: str) -> MatrixTuple:
-    return parse_witness(_load_json(path))
-
-
 # -- commands -------------------------------------------------------------------
 
 
@@ -289,15 +296,15 @@ def _cmd_classify(args) -> tuple[int, dict]:
         raise CliInputError("--subordinate-witness requires --subordinate-classes")
     if args.subordinate_classes and not args.subordinate_witness:
         raise CliInputError("--subordinate-classes requires --subordinate-witness")
-    problem = _load_problem(args.problem)
+    problem = parse_problem(_load_json(args.problem))
     verdict = classify(
         problem,
         relation_cap=args.relation_cap,
         exhaustive_ties=args.exhaustive_ties,
     )
     if args.subordinate_witness:
-        wit = _load_witness(args.subordinate_witness)
-        sub_problem = _load_problem(args.subordinate_classes)
+        wit = parse_witness(_load_json(args.subordinate_witness))
+        sub_problem = parse_problem(_load_json(args.subordinate_classes))
         verdict = apply_subordinate_witness(
             problem, wit, sub_problem.classes, base_verdict=verdict
         )
@@ -307,7 +314,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
 
 
 def _cmd_good(args) -> tuple[int, dict]:
-    problem = _load_problem(args.problem)
+    problem = parse_problem(_load_json(args.problem))
     result = is_good(problem.shapes, exhaustive_ties=args.exhaustive_ties)
     report = {
         "command": args.command,
@@ -323,7 +330,7 @@ def _cmd_generic(args) -> tuple[int, dict]:
         raise CliInputError("--seed: must be a non-negative integer")
     if args.generate and args.relation_cap is not None:
         raise CliInputError("--relation-cap: not used by --generate, which runs no search")
-    problem = _load_problem(args.problem)
+    problem = parse_problem(_load_json(args.problem))
     if args.generate:
         try:
             generated = generate_generic(problem.shapes, problem.mode, seed=args.seed)
@@ -348,7 +355,7 @@ def _cmd_generic(args) -> tuple[int, dict]:
 
 
 def _cmd_special(args) -> tuple[int, dict]:
-    problem = _load_problem(args.problem)
+    problem = parse_problem(_load_json(args.problem))
     _require_consistency(problem)
     result = classify_specialness(problem, relation_cap=args.relation_cap)
     report = {
@@ -362,8 +369,8 @@ def _cmd_special(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    problem = _load_problem(args.problem)
-    wit = _load_witness(args.witness)
+    problem = parse_problem(_load_json(args.problem))
+    wit = parse_witness(_load_json(args.witness))
     relation, memberships = check_witness(wit, problem)
     tangent = tangent_rank(wit)
     cdim = tangent.centralizer_dimension
@@ -396,7 +403,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _cmd_dim(args) -> tuple[int, dict]:
-    problem = _load_problem(args.problem)
+    problem = parse_problem(_load_json(args.problem))
     rigidity = rigidity_report(problem.shapes)
     report = {
         "command": "dim",
@@ -404,7 +411,7 @@ def _cmd_dim(args) -> tuple[int, dict]:
         "kappa": rigidity.kappa,
     }
     if args.witness:
-        wit = _load_witness(args.witness)
+        wit = parse_witness(_load_json(args.witness))
         try:
             report["local_dimension"] = local_dimension(wit, problem)
         except WitnessPreconditionError as exc:
@@ -415,7 +422,7 @@ def _cmd_dim(args) -> tuple[int, dict]:
 
 
 def _cmd_deform(args) -> tuple[int, dict]:
-    base = _load_witness(args.base)
+    base = parse_witness(_load_json(args.base))
     # directions are drift matrices, not a tuple: they need not be invertible
     _, directions = _parse_matrices(_load_json(args.directions))
     epsilon = _at("--epsilon", parse_rational, args.epsilon)
@@ -437,8 +444,71 @@ def _cmd_deform(args) -> tuple[int, dict]:
     return (EXIT_OK if within else EXIT_NEGATIVE), report
 
 
-# the one JSON writer, for reports on stdout and documents written by --output
-_to_json = json.JSONEncoder(indent=2, sort_keys=True).encode
+# -- the one JSON writer, for reports on stdout and documents written by --output
+#
+# Its text is json.dumps(x, indent=2, sort_keys=True) byte for byte.  CPython's
+# C encoder does not indent, so json would take its pure-Python path for every
+# report; this writer lays the structure out in one pass into one list of
+# parts and quotes every string with json's C encode_basestring_ascii, which
+# also takes the mode objects (str subclasses).  Containers are plain dicts
+# and lists, and keys are strings; anything else is a TypeError.
+
+_quote = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _to_json(x) -> str:
+    parts = []
+    _put_json(x, parts.append, "\n")
+    return "".join(parts)
+
+
+def _put_json(x, put, newline: str) -> None:
+    """Put the parts of x, whose nested lines begin with `newline`."""
+    kind = type(x)
+    if kind is str:
+        put(_quote(x))
+    elif kind is dict:
+        if not x:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            put(sep + _quote(key) + ": ")
+            _put_json(x[key], put, inner)
+            sep = "," + inner
+        put(newline + "}")
+    elif kind is list:
+        if not x:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in x:
+            put(sep)
+            _put_json(item, put, inner)
+            sep = "," + inner
+        put(newline + "]")
+    else:
+        put(_json_scalar(x))
+
+
+def _json_scalar(x) -> str:
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _NON_FINITE.get(text, text)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _write_json(path: str, doc) -> None:
@@ -458,6 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     unchanged and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="dsp",
+        allow_abbrev=False,
         description="Exact decision and verification tools for matrix tuples "
         "with prescribed conjugacy classes (sum zero or product identity).",
     )
@@ -472,18 +543,18 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--exhaustive-ties", action="store_true",
                            help="explore every tie branch of the reduction chain")
 
-    p = sub.add_parser("classify", help="full solvability verdict")
+    p = sub.add_parser("classify", allow_abbrev=False, help="full solvability verdict")
     add_common(p, relation_cap=True, exhaustive_ties=True)
     p.add_argument("--subordinate-witness", help="witness document for the subordinate-solution rule")
     p.add_argument("--subordinate-classes", help="problem document listing the witness classes")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("good", aliases=["psi-trace"],
+    p = sub.add_parser("good", aliases=["psi-trace"], allow_abbrev=False,
                        help="goodness of the shape tuple and its reduction chain")
     add_common(p, exhaustive_ties=True)
     p.set_defaults(func=_cmd_good)
 
-    p = sub.add_parser("generic", help="genericity of the eigenvalue data")
+    p = sub.add_parser("generic", allow_abbrev=False, help="genericity of the eigenvalue data")
     add_common(p, relation_cap=True)
     p.add_argument("--generate", action="store_true",
                    help="generate an assignment for the problem's shapes that is "
@@ -493,21 +564,22 @@ def _build_parser() -> argparse.ArgumentParser:
     # None tells an explicit cap, which --generate refuses, from the default
     p.set_defaults(func=_cmd_generic, relation_cap=None)
 
-    p = sub.add_parser("special", help="search for repeated-block certificates")
+    p = sub.add_parser("special", allow_abbrev=False, help="search for repeated-block certificates")
     add_common(p, relation_cap=True)
     p.set_defaults(func=_cmd_special)
 
-    p = sub.add_parser("verify", help="all witness checks against a problem")
+    p = sub.add_parser("verify", allow_abbrev=False, help="all witness checks against a problem")
     add_common(p)
     p.add_argument("witness", help="witness document (JSON)")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("dim", help="expected and (with a witness) local dimension")
+    p = sub.add_parser("dim", allow_abbrev=False,
+                       help="expected and (with a witness) local dimension")
     add_common(p)
     p.add_argument("--witness", help="witness document (JSON)")
     p.set_defaults(func=_cmd_dim)
 
-    p = sub.add_parser("deform", help="first-order deformation step")
+    p = sub.add_parser("deform", allow_abbrev=False, help="first-order deformation step")
     p.add_argument("base", help="base witness document (JSON)")
     p.add_argument("directions", help="direction matrices (witness-format JSON)")
     p.add_argument("--epsilon", required=True, help="step size, e.g. 1/1024")

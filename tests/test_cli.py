@@ -164,6 +164,52 @@ class TestDocumentRoundTrip:
         assert serialize_witness(parse_witness(doc)) == doc
 
 
+_MODE_OBJECTS = st.sampled_from([ADDITIVE, MULTIPLICATIVE])
+# quotes, backslashes, control characters, non-ASCII and astral characters
+_STRINGS = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\xe9\u2028\ufeff\U0001d11e') | st.characters())
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**300), 10**300),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e300, -1e-300, 1e16, 0.1]),
+    _STRINGS,
+    _MODE_OBJECTS,
+)
+_REPORTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(_STRINGS | _MODE_OBJECTS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestReportWriter:
+    """cli's one JSON writer prints what json.dumps(indent=2, sort_keys=True)
+    prints, byte for byte."""
+
+    @given(_REPORTS)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_json_dumps(self, report):
+        assert cli._to_json(report) == json.dumps(report, indent=2, sort_keys=True)
+
+    def test_empty_containers_and_non_finite_floats(self):
+        for report in ({}, [], {"a": {}, "b": [], "c": [{}, []]},
+                       [float("inf"), float("-inf"), float("nan")]):
+            assert cli._to_json(report) == json.dumps(report, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("report", [
+        {"a": object()}, [{1, 2}], {"a": b"bytes"}, {1: "int key"}, {None: 1},
+        {"a": Fraction(1, 2)}, {"a": (1, 2)},
+    ])
+    def test_unsupported_types_raise_type_error(self, report):
+        with pytest.raises(TypeError):
+            cli._to_json(report)
+
+
 class TestParseWitness:
     def test_roundtrip(self):
         wit = parse_witness(_load("rigid_n2_witness.json"))
@@ -610,6 +656,34 @@ class TestOptionsPerCommand:
                 main(argv)
             assert exc.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "P", "--hum"],
+        ["--hum", "classify", "P"],
+        ["classify", "P", "--exh"],
+        ["good", "P", "--exh"],
+        ["classify", "P", "--relation", "5"],
+        ["special", "P", "--relation", "5"],
+    ])
+    def test_abbreviated_flags_are_refused(self, capsys, argv):
+        # `main` reads --human from argv, so an abbreviation that argparse
+        # accepted would print JSON where it had parsed a request for prose
+        argv = [str(SAMPLES / "rigid_n2_problem.json") if a == "P" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_no_command_takes_an_abbreviation(self, capsys):
+        for name, parser in _commands().items():
+            for option in _long_options(parser) - {"--help"}:
+                # valid operands, then the option less its last letter
+                argv = [*TestArgumentSurface.OPERANDS[name], option[:-1], "1"]
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                assert exc.value.code == 2, (name, option)
+                err = capsys.readouterr().err.splitlines()[-1]
+                assert err.endswith(f"unrecognized arguments: {option[:-1]} 1"), (name, option)
 
 
 def _commands() -> dict:

@@ -4,7 +4,9 @@ sample under every command, pinned byte for byte.
 Each case's file under `tests/golden/` holds the exit status on its first
 line and `json.dumps(report, indent=2, sort_keys=True)` after it.  The suite
 only compares against these files and never rewrites them: a changed report
-is a behaviour change and has to be reviewed as one.
+is a behaviour change and has to be reviewed as one.  The CLI's own JSON
+writer must print the same bytes, for these reports and for the documents
+that `--output` writes.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from deligne_simpson.cli import run_command
+from deligne_simpson.cli import _to_json, run_command
 
 from conftest import SAMPLES
 
@@ -82,3 +84,33 @@ def test_every_case_has_a_golden_file():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_is_byte_identical(case):
     assert render(CASES[case]) == (GOLDEN / f"{case}.txt").read_text()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_writer_prints_the_golden_bytes(case):
+    code, report = run_command(CASES[case])
+    assert f"{code}\n{_to_json(report)}\n" == (GOLDEN / f"{case}.txt").read_text()
+
+
+def _output_cases():
+    """The golden cases that write a document when given --output (deform
+    always, generic --generate when it succeeds), with their pinned exit
+    status."""
+    cases = {}
+    for case, argv in CASES.items():
+        code = int((GOLDEN / f"{case}.txt").read_text().split("\n", 1)[0])
+        if argv[0] == "deform" or ("--generate" in argv and code == 0):
+            cases[case] = (argv, code)
+    return cases
+
+
+OUTPUT_CASES = _output_cases()
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_CASES))
+def test_output_document_is_json_dumps(tmp_path, case):
+    argv, code = OUTPUT_CASES[case]
+    path = tmp_path / "out.json"
+    assert run_command([*argv, "--output", str(path)])[0] == code
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

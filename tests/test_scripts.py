@@ -3,6 +3,7 @@ renamed or deleted public name cannot break them unnoticed."""
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -12,19 +13,28 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
+def _every_request_timed(stdout):
+    # a phase whose functions the CLI no longer calls reads 0 calls, and
+    # its time lands in other_s
+    split = json.loads(stdout)
+    assert split["wrong_answers"] == 0
+    assert split["phases"]["json_encode"]["calls"] == split["requests"]
+    assert split["phases"]["parse"]["calls"] > 0
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, check",
     [
-        ["classify_samples.py"],
-        ["invariance_sweep.py", "0", "5"],
-        ["kernel_ladder.py", "--sizes", "4", "--bits", "8", "--repeats", "1"],
-        ["search_ladder.py", "--sizes", "8"],
-        ["phase_split.py", "--workload", "screens"],
+        (["classify_samples.py"], None),
+        (["invariance_sweep.py", "0", "5"], None),
+        (["kernel_ladder.py", "--sizes", "4", "--bits", "8", "--repeats", "1"], None),
+        (["search_ladder.py", "--sizes", "8"], None),
+        (["phase_split.py", "--workload", "screens"], _every_request_timed),
     ],
     ids=["classify_samples", "invariance_sweep", "kernel_ladder", "search_ladder",
          "phase_split"],
 )
-def test_script_exits_zero(argv):
+def test_script_exits_zero(argv, check):
     result = subprocess.run(
         [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
         capture_output=True,
@@ -33,3 +43,5 @@ def test_script_exits_zero(argv):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+    if check is not None:
+        check(result.stdout)
