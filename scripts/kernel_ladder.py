@@ -12,8 +12,9 @@ at most b bits and the cyclic shift, which generate all n x n matrices.
 (The closure's words are products of up to about 2n generators, so with
 b-bit denominators their entries, and the time, grow far past the other
 kernels'.)  Each kernel's time is the median wall time in seconds over
-`--repeats` calls: rank(A), solve_first(A, v), inverse(A), A * B and
-algebra_dimension([D, P]).  The answers are printed beside the times.
+`--repeats` calls: rank(A), solve_first(A, v), the inverse of A as
+left_divide(A, I), A * B and algebra_dimension([D, P]).  The answers are
+printed beside the times.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from deligne_simpson import GaussianRational, Matrix
-from deligne_simpson.linalg import algebra_dimension, inverse, rank, solve_first
+from deligne_simpson.linalg import algebra_dimension, left_divide, rank, solve_first
 
 
 def _ratio(rng: random.Random, bits: int) -> str:
@@ -65,7 +66,7 @@ def _inputs(n: int, bits: int) -> dict:
 KERNELS = {
     "rank": lambda x: rank(x["a"]),
     "solve_first": lambda x: solve_first(x["a"], x["v"])[1],
-    "inverse": lambda x: inverse(x["a"]).nrows,
+    "inverse": lambda x: left_divide(x["a"], Matrix.identity(x["a"].nrows)).nrows,
     "matmul": lambda x: (x["a"] * x["b"]).nrows,
     "algebra_dimension": lambda x: algebra_dimension(x["gens"]),
 }

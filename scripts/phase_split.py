@@ -17,7 +17,8 @@ phase is already open adds nothing.  The plan holds public functions only,
 so `cli`'s private reader, witness parser and JSON writer are wrapped here
 with the tracer's own `wrap`.  Phases nest (the special search runs
 `is_good` and the relation search), so shares may sum to more than 1.
-`calls` counts every call of a phase's functions, nested ones too.
+`calls` counts every call of a phase's functions, nested ones too, and
+`commands` the requests per `dsp` command.
 `wall_s` is the time spent inside `cli.main`; `counters_s` is the time of
 the tracer's counter hooks, which run after the search, `is_good` and the
 special search return and land in the enclosing phase, if any; `other_s`
@@ -34,6 +35,7 @@ Python 3.11, three runs each).
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import itertools
@@ -120,6 +122,7 @@ def split(workload: str) -> dict:
         "seed": 1,
         "rounds": ROUNDS,
         "requests": sum(len(b) for b in batches),
+        "commands": dict(collections.Counter(r.argv[0] for b in batches for r in b)),
         "wrong_answers": wrong,
         "wall_s": round(wall, 4),
         "phases": phases,

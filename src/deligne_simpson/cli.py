@@ -340,6 +340,9 @@ def _cmd_generic(args) -> tuple[int, dict]:
                 "generated": False,
                 "error": str(exc),
             }
+        except ProblemError as exc:
+            # the seed's own refusal: a prime walk past MAX_PRIME_WALK
+            raise CliInputError(f"--seed: {exc}") from exc
         doc = serialize_problem(generated)
         if args.output:
             _write_json(args.output, doc)

@@ -39,6 +39,8 @@ from .jnf_core import ClassSpec, JnfError, JnfShape
 DEFAULT_RELATION_CAP = 10**8
 # fresh denominators tried by generate_generic before it gives up
 GENERATE_ATTEMPTS = 32
+# the most primes generate_generic walks to reach a seed's offset
+MAX_PRIME_WALK = 10**6
 # integers per window of the segmented prime sieve `_primes_from`
 _SIEVE_WIDTH = 1 << 13
 
@@ -670,7 +672,10 @@ def generate_generic(
     (a refused certificate is an internal error, never a silent retry).  The
     exhaustive search is left to user documents.  In additive mode no
     generic assignment exists when a common divisor > 1 divides every
-    multiplicity; that is reported as an error.
+    multiplicity; that is reported as an error.  Attempt a reads the
+    primes from offset (seed + a) * slots on, so a seed whose last attempt
+    would walk past MAX_PRIME_WALK primes is refused (ProblemError) before
+    any prime is drawn.
     """
     shapes = tuple(shapes)
     if not shapes:
@@ -686,6 +691,12 @@ def generate_generic(
         for j, s in enumerate(shapes)
         for l in range(s.label_count)
     ]
+    # the last attempt reads the primes up to offset (seed + attempts) * slots
+    walk = (seed + GENERATE_ATTEMPTS) * len(slots) - 1
+    if walk > MAX_PRIME_WALK:
+        raise ProblemError(
+            f"seed {seed} would walk up to {walk} primes, more than {MAX_PRIME_WALK}"
+        )
     if known.gcd_forces_relation:
         g = reduce(math.gcd, (mu for _, _, mu in slots))
         if g > 1:

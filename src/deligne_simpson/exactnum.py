@@ -181,11 +181,6 @@ class GaussianRational:
         a, b, d = self._t
         return _format_ratio(a, d), _format_ratio(b, d)
 
-    def l1(self) -> Fraction:
-        """|re| + |im|; submultiplicative magnitude proxy used for norms."""
-        a, b, d = self._t
-        return Fraction(abs(a) + abs(b), d)
-
     def __repr__(self):
         a, b, d = self._t
         parts = [_format_ratio(a, d)] + ([_format_ratio(b, d)] if b else [])

@@ -1,24 +1,29 @@
 """Dense exact linear algebra over Gaussian rationals.
 
-Every rank, solve, inverse and algebra dimension runs one elimination
-loop, `_add_row`: each row in turn is reduced against the pivot rows kept
-so far and, if anything is left, kept unscaled under the column of its
-first nonzero entry.  No result depends on this pivot rule or on the row
-order: the set of pivot columns is an invariant of the row space, the
-solution with every free variable zero is unique, and so is an inverse.
+Every rank, solve, left division and algebra dimension runs one
+elimination loop, `_add_row`: each row in turn is reduced against the
+pivot rows kept so far and, if anything is left, kept unscaled under the
+column of its first nonzero entry.  No result depends on this pivot rule
+or on the row order: the set of pivot columns is an invariant of the row
+space, the solution with every free variable zero is unique, and so is
+c^-1 b.  Left division, `left_divide(c, b)`, eliminates [c | b] once and
+back-substitutes its right-hand sides; no inverse is built (c^-1 is
+`left_divide(c, Matrix.identity(n))`).
 
 The exact kernels compute on the triple (a, b, d) that a GaussianRational
 (a + b*i)/d holds, d > 0 and gcd(a, b, d) = 1, not through its operators.
 `_add_row` takes the ratio of an entry to the pivot with one gcd, and each
 updated entry row[j] - pivot_row[j] * ratio as one fraction with one gcd;
 `Matrix.__mul__` and `_back_substitute` sum each entry's products over the
-lcm of their denominators and reduce the sum once.  The pivot rule, the
-row order and the unscaled stored rows are those of the operator kernel,
-and a canonical triple is unique, so every entry stored equals, step by
-step, the one the operators compute: only the intermediate gcds and
-objects are saved.  Every stored entry stays in lowest terms.  Scaling
-rows to Gaussian integers instead (fraction-free elimination) lets the
-entries of a closure's words grow with every product.
+lcm of their denominators and reduce the sum once; `Matrix.norm_rowsum`
+sums each row's (|a| + |b|) / d the same way and builds one Fraction.
+The pivot rule, the row order and the unscaled stored rows are those of
+the operator kernel, and a canonical triple is unique, so every entry
+stored equals, step by step, the one the operators compute: only the
+intermediate gcds and objects are saved.  Every stored entry stays in
+lowest terms.  Scaling rows to Gaussian integers instead (fraction-free
+elimination) lets the entries of a closure's words grow with every
+product.
 
 Every witness check ranks one tangent map, built by `commutator_operator`:
 (X_1..X_k) -> sum of [M_j, X_j] with each X_j in sl_n.  Its rows index
@@ -183,8 +188,26 @@ class Matrix:
         ))
 
     def norm_rowsum(self) -> Fraction:
-        """Max row sum of |re|+|im| entry magnitudes (submultiplicative)."""
-        return max(sum((x.l1() for x in row), Fraction(0)) for row in self.rows)
+        """Max row sum of |re|+|im| entry magnitudes (submultiplicative).
+
+        Each row's sum of (|a| + |b|) / d is kept over the lcm of its
+        denominators, as `_dot` keeps its sums; rows are compared by cross
+        multiplication, and one Fraction is built for the largest."""
+        best, best_d = 0, 1
+        for row in self.rows:
+            s, sd = 0, 1
+            for a, b, d in map(triple, row):
+                if a or b:
+                    m = abs(a) + abs(b)
+                    if d == sd:
+                        s += m
+                    else:
+                        g = gcd(sd, d)
+                        u = d // g
+                        s, sd = s * u + m * (sd // g), sd * u
+            if s * best_d > best * sd:
+                best, best_d = s, sd
+        return Fraction(best, best_d)
 
     def _check_same_shape(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -320,16 +343,19 @@ def solve_first(matrix: Matrix, rhs: Sequence[GaussianRational]):
     return [xc[0] for xc in _back_substitute(pivots, ncols, 1)], len(pivots)
 
 
-def inverse(matrix: Matrix) -> Matrix:
-    if not matrix.is_square:
-        raise LinalgError("inverse of a non-square matrix")
-    n = matrix.nrows
-    pivots = _reduce(map(tuple.__add__, matrix.rows, Matrix.identity(n).rows))
-    # [M | I] always has rank n; M is invertible exactly when every pivot
-    # lies in M's block
-    if max(pivots) >= n:
+def left_divide(c: Matrix, b: Matrix) -> Matrix:
+    """c^-1 b, for a square c, from one elimination of [c | b].
+
+    [c | b] has rank n whatever b is; c is invertible exactly when all n
+    pivots lie in c's block, and then the back-substituted right-hand
+    sides are c^-1 b.  SingularMatrixError otherwise."""
+    n = c.nrows
+    if not c.is_square or b.nrows != n:
+        raise LinalgError(f"cannot divide {b.nrows}x{b.ncols} on the left by {n}x{c.ncols}")
+    pivots = _reduce(map(tuple.__add__, c.rows, b.rows))
+    if sum(p < n for p in pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return Matrix._of(tuple(map(tuple, _back_substitute(pivots, n, n))))
+    return Matrix._of(tuple(map(tuple, _back_substitute(pivots, n, b.ncols))))
 
 
 def _add_residue_row(pivots: dict[int, list[tuple[int, int]]], row: list[int]) -> bool:

@@ -26,7 +26,7 @@ from .linalg import (
     _residues,
     algebra_dimension,
     commutator_operator,
-    inverse,
+    left_divide,
     pivot_columns,
     rank,
     sl_element,
@@ -352,10 +352,27 @@ def deform_step(
     then return (I + eps X_j)^-1 (M_j + eps N_j) (I + eps X_j).  The defining
     relation then fails only at second order; the exact residual is
     reported together with a proven residual <= bound (= K eps^2) whenever
-    eps ||X_j|| < 1.  One elimination of the tangent map decides both the
-    centralizer (its rank is n^2 - 1 exactly when the centralizer is
-    trivial, outer factors or not, because its image is still the
-    complement of the centralizer) and the solution.
+    eps ||X_j|| < 1.
+
+    Only the first k - 1 blocks are solved for; X_k = 0, so M_k + eps N_k
+    is returned as it is.  Once the relation holds, the map of the first
+    k - 1 matrices has the same image as the whole map:
+      - additively, [M_k, X] = -sum over j < k of [M_j, X];
+      - multiplicatively, block j's image is Ad_(L_j) of the image of
+        Ad_(M_j) - 1, whose trace-form complement is the centralizer of
+        P_j P_(j-1)^-1 with P_j = M_1 .. M_j; these elements for j < k
+        generate the same group as all k of them, because P_k = I makes
+        P_k P_(k-1)^-1 = P_(k-1)^-1.
+    So both maps have the same rank and the same lex-first pivot columns,
+    none of them in block k, and the solution with every free variable
+    zero is the sub-solution extended by X_k = 0.  One elimination of
+    the sub-map decides both the centralizer (its rank is n^2 - 1 exactly
+    when the centralizer is trivial, outer factors or not, because its
+    image is the complement of the centralizer) and the solution.  For
+    k = 1 the sub-map maps no matrices and has rank 0.
+
+    Each other matrix is conjugated by one elimination of [C | T C], with
+    C = I + eps X_j and T = M_j + eps N_j, which leaves C^-1 T C.
     """
     n = base.n
     eps = Fraction(epsilon)
@@ -373,9 +390,13 @@ def deform_step(
     drift = Matrix.zeros(n, n)
     for j, d in enumerate(directions):
         drift = drift + (d if outer is None else outer[j][0] * d * outer[j][1])
-    coords, map_rank = solve_first(
-        commutator_operator(base.matrices, outer), [-x for x in vec(drift)]
-    )
+    leading = base.matrices[:-1]
+    if leading:
+        coords, map_rank = solve_first(
+            commutator_operator(leading, outer and outer[:-1]), [-x for x in vec(drift)]
+        )
+    else:
+        coords, map_rank = [], 0
     if map_rank != n * n - 1:
         raise DeformationError("base tuple has a non-trivial centralizer")
     if drift.trace() != GR_ZERO:
@@ -383,19 +404,17 @@ def deform_step(
     if coords is None:
         raise DeformationError("first-order system is unsolvable")
     size = n * n - 1
-    x_matrices = [
-        sl_element(n, coords[j * size : (j + 1) * size]) for j in range(base.count)
-    ]
+    x_matrices = [sl_element(n, coords[j * size : (j + 1) * size]) for j in range(len(leading))]
+    x_matrices.append(Matrix.zeros(n, n))
 
     deformed = []
-    for m, d, x in zip(base.matrices, directions, x_matrices):
+    for m, d, x in zip(leading, directions, x_matrices):
         conj = Matrix.identity(n) + x.scale(eps)
         try:
-            conj_inv = inverse(conj)
+            deformed.append(left_divide(conj, (m + d.scale(eps)) * conj))
         except SingularMatrixError as exc:
             raise DeformationError("epsilon too large: I + eps X is singular") from exc
-        target = m + d.scale(eps)
-        deformed.append(conj_inv * target * conj)
+    deformed.append(base.matrices[-1] + directions[-1].scale(eps))
 
     residual = base.mode.residual(deformed).norm_rowsum()
     bound = _residual_bound(base, directions, x_matrices, eps)

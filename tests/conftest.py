@@ -181,7 +181,7 @@ def random_relation_tuple(
             total = total + m
         mats.append(-total)
         return MatrixTuple(ADDITIVE, mats)
-    from deligne_simpson.linalg import inverse
+    from deligne_simpson.linalg import left_divide
 
     mats = []
     for _ in range(count - 1):
@@ -201,7 +201,7 @@ def random_relation_tuple(
     prod = Matrix.identity(n)
     for m in mats:
         prod = prod * m
-    mats.append(inverse(prod))
+    mats.append(left_divide(prod, Matrix.identity(n)))
     return MatrixTuple(MULTIPLICATIVE, mats)
 
 

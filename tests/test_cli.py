@@ -871,3 +871,17 @@ class TestConsoleEntry:
         )
         assert (proc.returncode, proc.stderr) == (2, "")
         assert json.loads(proc.stdout) == {"error": "--seed: must be a non-negative integer"}
+
+    def test_generation_seed_past_the_prime_walk_is_input_error(self):
+        # 4 slots: seed 10^7 would walk about 4 * 10^7 primes
+        proc = subprocess.run(
+            [sys.executable, "-m", "deligne_simpson.cli", "generic",
+             str(SAMPLES / "rigid_n2_problem.json"), "--generate", "--seed", "10000000"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert json.loads(proc.stdout) == {
+            "error": "--seed: seed 10000000 would walk up to 40000127 primes, more than 1000000"
+        }

@@ -841,6 +841,24 @@ class TestGenerateGeneric:
         with pytest.raises(ProblemError, match="seed"):
             generate_generic((shape([1], [1]),) * 3, mode, seed=-1)
 
+    def test_seed_past_the_prime_walk_is_refused_before_walking(self, monkeypatch):
+        # 4 slots: attempt 31 of seed s reads primes up to (s + 32) * 4 - 1
+        shapes = (shape([1], [1]),) * 2
+        walked = []
+        primes_from = eigenvalues._primes_from
+
+        def counting(start):
+            walked.append(start)
+            return primes_from(start)
+
+        monkeypatch.setattr(eigenvalues, "_primes_from", counting)
+        monkeypatch.setattr(eigenvalues, "MAX_PRIME_WALK", 4 * 42 - 1)
+        assert check_consistency(generate_generic(shapes, ADDITIVE, seed=10))
+        assert len(walked) == 1
+        with pytest.raises(ProblemError, match="seed 11 would walk up to 171 primes, more than 167"):
+            generate_generic(shapes, ADDITIVE, seed=11)
+        assert len(walked) == 1
+
     def test_all_even_multiplicities_impossible(self):
         shapes = (shape([2]), shape([1, 1]), shape([2]))
         with pytest.raises(GenericAssignmentError):

@@ -24,7 +24,7 @@ from deligne_simpson import (
     is_irreducible,
     verify_relation,
 )
-from deligne_simpson.linalg import commutator_operator, inverse, rank
+from deligne_simpson.linalg import commutator_operator, left_divide, rank
 
 
 def companion(roots) -> Matrix:
@@ -41,7 +41,8 @@ def companion(roots) -> Matrix:
 def hypergeometric(n: int) -> MatrixTuple:
     a = companion([Fraction(i) for i in range(2, n + 2)])
     b = companion([Fraction(-(k + 2), 3) for k in range(1, n + 1)])
-    return MatrixTuple(MULTIPLICATIVE, [a, inverse(b), b * inverse(a)])
+    one = Matrix.identity(n)
+    return MatrixTuple(MULTIPLICATIVE, [a, left_divide(b, one), b * left_divide(a, one)])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

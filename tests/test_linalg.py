@@ -5,10 +5,12 @@ planted rank deficiency (a product through a narrower inner dimension)
 and some with zeroed rows and columns, are checked against sympy's
 `DomainMatrix` over `QQ_I`: the pivot columns against `rref()`, every
 `solve_first` answer against the augmented rank and A x = b, and
-`inverse` against the identity.  Matrices with mixed denominators and
-4-, 60- and 400-bit parts are checked the same way, `inverse` against
-sympy's and every product against sympy's, with every entry the kernel
-stores or returns in lowest terms.  The generated-algebra dimension behind
+`left_divide(A, I)` against the identity.  Matrices with mixed
+denominators and 4-, 60- and 400-bit parts are checked the same way,
+`left_divide` against sympy's inverse and A^-1 B, every product against
+sympy's and every `norm_rowsum` against a sum of Fractions, with every
+entry the kernel stores or returns in lowest terms; `left_divide` by a
+singular or non-square matrix is refused.  The generated-algebra dimension behind
 `is_irreducible` is compared with a word-span closure ranked by sympy,
 and with a^2 + b^2 + ab on conjugated block-upper-triangular tuples,
 whose generated algebra is the whole block-upper-triangular algebra.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -37,9 +40,10 @@ from deligne_simpson import (
 )
 from deligne_simpson import linalg
 from deligne_simpson.linalg import (
+    LinalgError,
     SingularMatrixError,
     algebra_dimension,
-    inverse,
+    left_divide,
     pivot_columns,
     rank,
     sl_basis,
@@ -151,9 +155,9 @@ def test_inverse_or_singular(index):
     m = SQUARE[index]
     if _domain(m).rank() < m.nrows:
         with pytest.raises(SingularMatrixError):
-            inverse(m)
+            left_divide(m, Matrix.identity(m.nrows))
     else:
-        assert inverse(m) * m == Matrix.identity(m.nrows)
+        assert left_divide(m, Matrix.identity(m.nrows)) * m == Matrix.identity(m.nrows)
 
 
 # -- entries with denominators and with 60- and 400-bit parts ----------------
@@ -233,9 +237,16 @@ def test_sized_elimination_against_sympy(index, canonical_kernel):
     assert r == len(pivots) and x is not None and all(map(_canonical, x))
     assert domain * _domain(Matrix([[v] for v in x])) == _domain(Matrix([[b] for b in rhs]))
     if m.is_square and len(pivots) == m.nrows:
-        inv = inverse(m)
+        inv = left_divide(m, Matrix.identity(m.nrows))
         assert all(_canonical(v) for row in inv.rows for v in row)
         assert _domain(inv) == domain.inv()
+
+
+@pytest.mark.parametrize("index", range(len(SIZED)))
+def test_norm_rowsum_matches_fraction_sums(index):
+    _, m = SIZED[index]
+    expected = max(sum((abs(x.re) + abs(x.im) for x in row), Fraction(0)) for row in m.rows)
+    assert m.norm_rowsum() == expected
 
 
 @pytest.mark.parametrize("index", range(len(SIZED)))
@@ -256,7 +267,7 @@ def test_sized_algebra_dimension(bits, canonical_kernel):
     rng = random.Random(bits)
     entry = _sized_entry(bits)
     p = _invertible(rng, 3)
-    p_inv = inverse(p)
+    p_inv = left_divide(p, Matrix.identity(3))
     mats = [p_inv * Matrix([[entry(rng), entry(rng), entry(rng)],
                             [entry(rng), entry(rng), entry(rng)],
                             [0, 0, entry(rng)]]) * p for _ in range(2)]
@@ -273,7 +284,42 @@ def test_sized_algebra_dimension(bits, canonical_kernel):
 )
 def test_singular_inverse_raises(rows):
     with pytest.raises(SingularMatrixError):
-        inverse(Matrix(rows))
+        left_divide(Matrix(rows), Matrix.identity(len(rows)))
+
+
+@pytest.mark.parametrize("index", [i for i, m in enumerate(SQUARE) if _domain(m).rank() < m.nrows])
+def test_left_divide_by_singular_raises(index):
+    """Whatever the right-hand side, even zero, where [c | b] has rank
+    below n, a singular c is refused."""
+    m = SQUARE[index]
+    rng = random.Random(index)
+    for b in (Matrix.zeros(m.nrows, 2), m, Matrix(_random(rng, m.nrows, 3))):
+        with pytest.raises(SingularMatrixError):
+            left_divide(m, b)
+
+
+def test_left_divide_refuses_shapes():
+    with pytest.raises(LinalgError):
+        left_divide(Matrix([[1, 2, 3], [4, 5, 6]]), Matrix.identity(2))
+    with pytest.raises(LinalgError):
+        left_divide(Matrix.identity(2), Matrix.identity(3))
+
+
+@pytest.mark.parametrize("index", [
+    i for i, (_, m) in enumerate(SIZED) if m.is_square and _domain(m).rank() == m.nrows
+])
+def test_left_divide_mixed_denominators(index, canonical_kernel):
+    """c^-1 b for invertible c and b of mixed denominators and 4-, 60-
+    and 400-bit parts, one and three columns, against sympy's c^-1 b."""
+    bits, m = SIZED[index]
+    domain = _domain(m)
+    rng = random.Random(index)
+    for width in (1, 3):
+        b = Matrix(_random(rng, m.nrows, width, _sized_entry(bits)))
+        x = left_divide(m, b)
+        assert all(_canonical(v) for row in x.rows for v in row)
+        assert m * x == b
+        assert _domain(x) == domain.inv() * _domain(b)
 
 
 def _sympy_algebra_dimension(mats: list[Matrix]) -> int:
@@ -342,7 +388,7 @@ def test_algebra_dimension_matches_sympy_closure(mats):
 def test_block_upper_triangular_algebra_dimension(a, b):
     rng = random.Random(100 * a + b)
     p = _invertible(rng, a + b)
-    p_inv = inverse(p)
+    p_inv = left_divide(p, Matrix.identity(a + b))
     mats = [p_inv * _block_upper(rng, a, b) * p for _ in range(3)]
     report = is_irreducible(MatrixTuple(ADDITIVE, mats))
     assert not report.irreducible

@@ -36,7 +36,7 @@ from deligne_simpson.linalg import (
     _residue_tangent_rank,
     algebra_dimension,
     commutator_operator,
-    inverse,
+    left_divide,
     pivot_columns,
     rank,
 )
@@ -126,7 +126,7 @@ def _gaussian_relation_tuple(rng, mode, n, count, bits):
     product = Matrix.identity(n)
     for m in mats:
         product = product * m
-    return MatrixTuple(MULTIPLICATIVE, mats + [inverse(product)])
+    return MatrixTuple(MULTIPLICATIVE, mats + [left_divide(product, Matrix.identity(n))])
 
 
 def _conjugated(rng, mode, diagonals) -> MatrixTuple:
@@ -135,7 +135,7 @@ def _conjugated(rng, mode, diagonals) -> MatrixTuple:
     lower = Matrix([[1 if i == j else rng.randint(-2, 2) if i > j else 0 for j in range(n)] for i in range(n)])
     upper = Matrix([[1 if i == j else rng.randint(-2, 2) if i < j else 0 for j in range(n)] for i in range(n)])
     p = lower * upper
-    p_inv = inverse(p)
+    p_inv = left_divide(p, Matrix.identity(n))
     return MatrixTuple(mode, [
         p * Matrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)]) * p_inv
         for d in diagonals

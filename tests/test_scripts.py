@@ -22,6 +22,15 @@ def _every_request_timed(stdout):
     assert split["phases"]["parse"]["calls"] > 0
 
 
+def _witness_phases_timed(stdout):
+    # deform_step once per deform request, and the witness facts timed at all
+    split = json.loads(stdout)
+    assert split["wrong_answers"] == 0
+    assert split["commands"]["deform"] > 0
+    assert split["phases"]["deform_step"]["calls"] == split["commands"]["deform"]
+    assert split["phases"]["witness_facts"]["calls"] > 0
+
+
 @pytest.mark.parametrize(
     "argv, check",
     [
@@ -30,9 +39,10 @@ def _every_request_timed(stdout):
         (["kernel_ladder.py", "--sizes", "4", "--bits", "8", "--repeats", "1"], None),
         (["search_ladder.py", "--sizes", "8"], None),
         (["phase_split.py", "--workload", "screens"], _every_request_timed),
+        (["phase_split.py", "--workload", "witness"], _witness_phases_timed),
     ],
     ids=["classify_samples", "invariance_sweep", "kernel_ladder", "search_ladder",
-         "phase_split"],
+         "phase_split", "phase_split_witness"],
 )
 def test_script_exits_zero(argv, check):
     result = subprocess.run(

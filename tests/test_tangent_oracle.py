@@ -36,7 +36,7 @@ from deligne_simpson import (
     verify_relation,
 )
 from deligne_simpson.cli import run_command, serialize_witness
-from deligne_simpson.linalg import commutator_operator, inverse, rank, sl_basis
+from deligne_simpson.linalg import commutator_operator, left_divide, rank, sl_basis
 
 from conftest import random_relation_tuple
 
@@ -145,9 +145,9 @@ def _triangular_tuple(rng, mode, n, count):
     if mode == ADDITIVE:
         tri.append(-reduce(lambda a, b: a + b, tri))
     else:
-        tri.append(inverse(reduce(lambda a, b: a * b, tri)))
+        tri.append(left_divide(reduce(lambda a, b: a * b, tri), Matrix.identity(n)))
     p = _unimodular(rng, n)
-    p_inv = inverse(p)
+    p_inv = left_divide(p, Matrix.identity(n))
     mats = [p * t * p_inv for t in tri]
     values = [tuple(dict.fromkeys(t[i, i] for i in range(n))) for t in tri]
     return MatrixTuple(mode, mats), values

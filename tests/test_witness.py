@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +31,7 @@ from deligne_simpson import linalg, witness
 from deligne_simpson.cli import parse_witness, run_command, serialize_witness
 from deligne_simpson.criteria import rigidity_report
 from deligne_simpson.exactnum import format_rational
-from deligne_simpson.linalg import commutator_operator, rank
+from deligne_simpson.linalg import commutator_operator, rank, sl_element, solve_first, vec
 from deligne_simpson.witness import DeformationError, eigenvalue_as_gaussian
 
 from conftest import SAMPLES
@@ -360,6 +361,22 @@ class TestDeformStep:
         with pytest.raises(DeformationError, match="defining relation"):
             deform_step(base, directions, eps)
 
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_single_matrix(self, mode, n):
+        # k = 1: the map of the first k - 1 matrices maps nothing, rank 0,
+        # which is n^2 - 1 only at n = 1
+        base = _relation_tuple(random.Random(n), mode, n, 1)
+        zero = Matrix.zeros(n, n)
+        if n > 1:
+            with pytest.raises(DeformationError, match="non-trivial centralizer"):
+                deform_step(base, (zero,), Fraction(1, 10))
+            return
+        res = deform_step(base, (zero,), Fraction(1, 10))
+        assert res.deformed == base and res.x_matrices == (zero,) and res.residual == 0
+        with pytest.raises(DeformationError, match="direction constraint"):
+            deform_step(base, (Matrix([[1]]),), Fraction(1, 10))
+
     def test_nontrivial_centralizer_rejected(self):
         t = MatrixTuple(ADDITIVE, [Matrix.zeros(2, 2)] * 3)
         zero = Matrix.zeros(2, 2)
@@ -379,11 +396,9 @@ class TestDeformStep:
         d1 = Matrix([[1, 0], [0, 0]])
         d2 = Matrix([[0, 0], [1, 0]])
         d3 = Matrix([[0, 0], [2, 0]])
-        from deligne_simpson.linalg import inverse
-
         total = GaussianRational(0)
         for m, d in zip(base.matrices, (d1, d2, d3)):
-            total = total + (inverse(m) * d).trace()
+            total = total + linalg.left_divide(m, d).trace()
         assert total == GaussianRational(0)
         res1 = deform_step(base, (d1, d2, d3), Fraction(1, 256))
         res2 = deform_step(base, (d1, d2, d3), Fraction(1, 512))
@@ -485,6 +500,190 @@ class TestDeformPinned:
         assert sorted(json.loads(DEFORM_PINS.read_text())) == sorted(_pinned_deform_cases())
 
 
+def _relation_tuple(rng, mode, n, k) -> MatrixTuple:
+    """A seeded tuple satisfying its relation; at k = 1 the only ones, 0 or I."""
+    if k == 1:
+        return MatrixTuple(mode, [Matrix.zeros(n, n) if mode == ADDITIVE else Matrix.identity(n)])
+    return random_relation_tuple(rng, n, k, mode, span=2)
+
+
+def _direct_sum(a: MatrixTuple, b: MatrixTuple) -> MatrixTuple:
+    n = a.n + b.n
+
+    def block(x, y):
+        rows = [[GaussianRational(0)] * n for _ in range(n)]
+        for i, row in enumerate(x.rows):
+            rows[i][: a.n] = row
+        for i, row in enumerate(y.rows):
+            rows[a.n + i][a.n :] = row
+        return Matrix(rows)
+
+    return MatrixTuple(a.mode, [block(x, y) for x, y in zip(a.matrices, b.matrices)])
+
+
+def _first_block_cases():
+    """(tuple, right-hand side) in both modes for n = 1..5 and k = 1..5:
+    a seeded relation tuple, the direct sum of two (block-diagonal,
+    centralizer dimension at least 2) and a relation tuple repeated along
+    the diagonal (deficient; at n = 3 three 1 x 1 blocks, all scalar); each
+    with a right-hand side in the map's image and a random one."""
+    rng = random.Random(20261021)
+    cases = []
+    for mode in (ADDITIVE, MULTIPLICATIVE):
+        for n in range(1, 6):
+            for k in range(1, 6):
+                tuples = [_relation_tuple(rng, mode, n, k)]
+                if n > 1:
+                    cut = rng.randint(1, n - 1)
+                    tuples.append(_direct_sum(_relation_tuple(rng, mode, cut, k),
+                                              _relation_tuple(rng, mode, n - cut, k)))
+                for copies in (c for c in (2, 3) if n % c == 0):
+                    block = _relation_tuple(rng, mode, n // copies, k)
+                    tuples.append(assemble_block_diagonal(block, copies).assembled)
+                for t in tuples:
+                    image = commutator_operator(t.matrices, mode.outer_factors(t.matrices))
+                    coeffs = [[rng.randint(-2, 2)] for _ in range(image.ncols)]
+                    cases.append((t, [row[0] for row in (image * Matrix(coeffs)).rows]))
+                    cases.append((t, [GaussianRational(rng.randint(-2, 2)) for _ in range(n * n)]))
+    return cases
+
+
+FIRST_BLOCK_CASES = _first_block_cases()
+
+
+def _first_blocks_and_whole_map(t: MatrixTuple, rhs):
+    """solve_first of the map of the first k - 1 matrices (rank 0 and the
+    empty solution when k = 1) and of the whole map, with outer factors."""
+    outer = t.mode.outer_factors(t.matrices)
+    whole = solve_first(commutator_operator(t.matrices, outer), rhs)
+    if t.count == 1:
+        return ([] if not any(rhs) else None, 0), whole
+    return solve_first(commutator_operator(t.matrices[:-1], outer and outer[:-1]), rhs), whole
+
+
+class TestFirstBlocksSuffice:
+    """With the relation, the map of the first k - 1 matrices has the
+    whole map's image, so `deform_step` solves only it and sets X_k = 0.
+    The whole map's `solve_first` is the oracle."""
+
+    def test_cases_cover_deficiency_and_inconsistency(self):
+        ranks = [_first_blocks_and_whole_map(t, rhs)[1] for t, rhs in FIRST_BLOCK_CASES]
+        full = [t.n * t.n - 1 for t, _ in FIRST_BLOCK_CASES]
+        deficient = sum(r < f for (_, r), f in zip(ranks, full))
+        assert deficient > 60 and len(ranks) - deficient > 30
+        assert sum(x is None for x, _ in ranks) > 30
+
+    @pytest.mark.parametrize("index", range(len(FIRST_BLOCK_CASES)))
+    def test_same_rank_and_solution_with_x_k_zero(self, index):
+        t, rhs = FIRST_BLOCK_CASES[index]
+        assert verify_relation(t)
+        (x_sub, r_sub), (x_whole, r_whole) = _first_blocks_and_whole_map(t, rhs)
+        assert r_sub == r_whole
+        assert (x_sub is None) == (x_whole is None)
+        if x_whole is None:
+            return
+        n, size = t.n, t.n * t.n - 1
+        xs = [sl_element(n, x_whole[j * size : (j + 1) * size]) for j in range(t.count)]
+        assert xs[-1].is_zero()
+        assert xs[:-1] == [sl_element(n, x_sub[j * size : (j + 1) * size]) for j in range(t.count - 1)]
+
+
+def _l1_norm(m: Matrix) -> Fraction:
+    return max(sum((abs(x.re) + abs(x.im) for x in row), Fraction(0)) for row in m.rows)
+
+
+def _gauss_jordan_inverse(m: Matrix) -> Matrix:
+    """The inverse by Gauss-Jordan on [M | I] with GaussianRational
+    operators, or None when M is singular."""
+    n = m.nrows
+    rows = [list(row) + [GaussianRational(int(i == j)) for j in range(n)] for i, row in enumerate(m.rows)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c]), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return Matrix([row[n:] for row in rows])
+
+
+def _reference_deform(base: MatrixTuple, directions, eps: Fraction):
+    """(X_j, deformed matrices, residual, bound) the way `deform_step` was
+    first written: the whole map solved, every matrix conjugated by an
+    inverse and two products, and norms summed as Fractions entry by entry."""
+    n, k = base.n, base.count
+    outer = base.mode.outer_factors(base.matrices)
+    drift = Matrix.zeros(n, n)
+    for j, d in enumerate(directions):
+        drift = drift + (d if outer is None else outer[j][0] * d * outer[j][1])
+    coords, r = solve_first(commutator_operator(base.matrices, outer), [-x for x in vec(drift)])
+    assert r == n * n - 1 and coords is not None
+    size = n * n - 1
+    xs = [sl_element(n, coords[j * size : (j + 1) * size]) for j in range(k)]
+    deformed = []
+    for m, d, x in zip(base.matrices, directions, xs):
+        conj = Matrix.identity(n) + x.scale(eps)
+        deformed.append(_gauss_jordan_inverse(conj) * (m + d.scale(eps)) * conj)
+    residual = _l1_norm(base.mode.residual(deformed))
+    a = abs(eps)
+    steps = [
+        (m, d, x, _l1_norm(m), _l1_norm(d), _l1_norm(x))
+        for m, d, x in zip(base.matrices, directions, xs)
+    ]
+    if any(a * nx >= 1 for *_, nx in steps):
+        return xs, deformed, residual, None
+    rhos = [2 * nx * (nd + nx * na) / (1 - a * nx) for _, _, _, na, nd, nx in steps]
+    if base.mode == ADDITIVE:
+        return xs, deformed, residual, a * a * sum(rhos, Fraction(0))
+    norms = [na for _, _, _, na, _, _ in steps]
+    fs = [_l1_norm(d + (m * x - x * m)) for m, d, x, *_ in steps]
+    full = math.prod(na + a * f + a * a * rho for na, f, rho in zip(norms, fs, rhos))
+    linear = sum(f * math.prod(norms[:j] + norms[j + 1 :]) for j, f in enumerate(fs))
+    return xs, deformed, residual, full - math.prod(norms) - a * linear
+
+
+def _reference_deform_cases():
+    """The pinned cases, and seeded relation tuples with trivial
+    centralizer in both modes at n = 2..4, k = 3 and 4, with directions
+    meeting the first-order constraint (N_k shifted by a multiple of I,
+    resp. of M_k, since tr(L_k M_k R_k) = tr(I) = n) and two step sizes."""
+    cases = list(_pinned_deform_cases().values())
+    rng = random.Random(25)
+    for mode in (ADDITIVE, MULTIPLICATIVE):
+        for n in (2, 3, 4):
+            for k in (3, 4):
+                t = random_relation_tuple(rng, n, k, mode, span=2)
+                while tangent_rank(t).centralizer_dimension != 1:
+                    t = random_relation_tuple(rng, n, k, mode, span=2)
+                dirs = [Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]) for _ in range(k)]
+                outer = mode.outer_factors(t.matrices)
+                drift = dirs if outer is None else [l * d * r for d, (l, r) in zip(dirs, outer)]
+                total = sum((d.trace() for d in drift), GaussianRational(0))
+                shift = Matrix.identity(n) if outer is None else t.matrices[-1]
+                dirs[-1] = dirs[-1] - shift.scale(total / n)
+                for eps in (Fraction(1, 64), Fraction(3, 7)):
+                    cases.append((t, tuple(dirs), eps))
+    return cases
+
+
+class TestReferenceDeform:
+    """`deform_step` against the reference kept here, on every output."""
+
+    @pytest.mark.parametrize("index", range(len(_reference_deform_cases())))
+    def test_deform_step_equals_reference(self, index):
+        base, directions, eps = _reference_deform_cases()[index]
+        xs, deformed, residual, bound = _reference_deform(base, directions, eps)
+        res = deform_step(base, directions, eps)
+        assert list(res.x_matrices) == xs
+        assert list(res.deformed.matrices) == deformed
+        assert res.residual == residual
+        assert res.bound == bound
+
+
 # (name, n): the rigid samples, and rigid_n2 repeated twice along the
 # diagonal, whose centralizer has dimension 4, so its rank mod PRIME falls short
 SAMPLE_WITNESSES = [("rigid_n2", 2), ("rigid_n3", 3), ("rigid_n2x2", 4)]
@@ -492,14 +691,17 @@ DEFICIENT = {"rigid_n2x2"}
 
 
 class TestOneTangentElimination:
-    """`deform_step` eliminates its n^2-row tangent map once, exactly, and
-    inverts only the k conjugating matrices.  `dsp verify` and `dsp dim
-    --witness` eliminate theirs once, mod PRIME, and once more by the exact
-    kernel only where the rank mod PRIME falls short of n^2 - 1."""
+    """`deform_step` eliminates the n^2-row tangent map of its first k - 1
+    matrices once, exactly, never the whole map, and conjugates each of
+    those matrices by one n-row elimination of [C | T C]; it builds no
+    inverse.  `dsp verify` and `dsp dim --witness` eliminate theirs once,
+    mod PRIME, and once more by the exact kernel only where the rank mod
+    PRIME falls short of n^2 - 1."""
 
     @staticmethod
-    def _tangent_eliminations(monkeypatch, n, width, call) -> int:
-        # one elimination is one pivot dict: the rows added to it, its width
+    def _eliminations(monkeypatch, call) -> list[tuple[int, int]]:
+        """The (rows, width) of each exact elimination `call` runs: one
+        elimination is one pivot dict, and its rows are those added to it."""
         eliminations = {}
         add_row = linalg._add_row
 
@@ -510,7 +712,11 @@ class TestOneTangentElimination:
 
         monkeypatch.setattr(linalg, "_add_row", counting)
         call()
-        return sum(r == n * n and c >= width for _, r, c in eliminations.values())
+        return [(r, c) for _, r, c in eliminations.values()]
+
+    @classmethod
+    def _tangent_eliminations(cls, monkeypatch, n, width, call) -> int:
+        return sum(r == n * n and c >= width for r, c in cls._eliminations(monkeypatch, call))
 
     @classmethod
     def _both_kernels(cls, monkeypatch, n, k, call) -> tuple[list[bool], int]:
@@ -552,16 +758,27 @@ class TestOneTangentElimination:
     def test_deform_step(self, monkeypatch, case):
         base, directions, eps = _pinned_deform_cases()[case]
         n, k = base.n, base.count
-        inverted = []
+        divided = []
 
-        def counting_inverse(m):
-            inverted.append(m)
-            return linalg.inverse(m)
+        def counting_left_divide(c, b):
+            divided.append(c)
+            return linalg.left_divide(c, b)
 
-        monkeypatch.setattr(witness, "inverse", counting_inverse)
-        width = k * (n * n - 1)
-        assert self._tangent_eliminations(monkeypatch, n, width, lambda: deform_step(base, directions, eps)) == 1
-        assert len(inverted) == k
+        monkeypatch.setattr(witness, "left_divide", counting_left_divide)
+        res = None
+
+        def call():
+            nonlocal res
+            res = deform_step(base, directions, eps)
+
+        eliminations = self._eliminations(monkeypatch, call)
+        # the solve: the (k - 1)(n^2 - 1) map's columns and the right-hand side
+        assert [e for e in eliminations if e[0] == n * n] == [(n * n, (k - 1) * (n * n - 1) + 1)]
+        # one [C | T C] per j < k, C = I + eps X_j
+        assert [e for e in eliminations if e[0] != n * n] == [(n, 2 * n)] * (k - 1)
+        assert divided == [Matrix.identity(n) + x.scale(eps) for x in res.x_matrices[:-1]]
+        assert res.deformed.matrices[-1] == base.matrices[-1] + directions[-1].scale(eps)
+        assert not hasattr(linalg, "inverse") and not hasattr(witness, "inverse")
 
     @pytest.mark.parametrize("name,n", SAMPLE_WITNESSES)
     def test_verify(self, monkeypatch, tmp_path, name, n):
