@@ -32,7 +32,7 @@ from .eigenvalues import (
     generate_generic,
     is_generic,
 )
-from .exactnum import ExactNumberError, format_rational, parse_rational
+from .exactnum import ExactNumberError, _format_ratio, format_rational, parse_rational, parse_triple
 from .jnf_core import ClassSpec, JnfError, JnfShape, Partition
 from .linalg import LinalgError, Matrix
 from .solver import UNKNOWN, Verdict, apply_subordinate_witness, classify
@@ -80,12 +80,12 @@ def _at(path: str, build, *args):
         raise CliInputError(f"{path}: {exc}") from exc
 
 
-def _parse_value(doc, mode, path: str):
+def _parse_value(doc, mode, path: str, build=None):
     _expect(isinstance(doc, dict), path, "must be an object")
     key, other, default = mode.fields
     # the required key, the optional one when present, and nothing else
     _expect(key in doc and len(doc) == 1 + (other in doc), path, mode.hint)
-    return _at(path, mode.value_type, doc[key], doc.get(other, default))
+    return _at(path, build or mode.value_type, doc[key], doc.get(other, default))
 
 
 def _parse_header(doc, kind: str, items: str):
@@ -174,9 +174,9 @@ def _parse_matrices(doc) -> tuple[str, list[Matrix]]:
                     raise CliInputError(f": must be a list of {n} entries")
                 row = []
                 for k, e in enumerate(rdoc):
-                    row.append(_parse_value(e, ADDITIVE, ""))
+                    row.append(_parse_value(e, ADDITIVE, "", parse_triple))
                 rows.append(tuple(row))
-            # n rows of n Gaussian rationals each, checked above
+            # n rows of n canonical triples each, checked above
             matrices.append(Matrix._of(tuple(rows)))
     except CliInputError as exc:
         at = "".join(f"[{x}]" for x in (i, k) if x is not None)
@@ -194,8 +194,8 @@ def serialize_witness(t: MatrixTuple) -> dict:
         "n": t.n,
         "matrices": [
             [
-                [ADDITIVE.document(x) for x in row]
-                for row in m.rows
+                [{"re": _format_ratio(a, d), "im": _format_ratio(b, d)} for a, b, d in row]
+                for row in m._rows
             ]
             for m in t.matrices
         ],

@@ -7,7 +7,9 @@ convert explicitly at the edges.  A rational is read by one function,
 or a decimal such as "1.5" or "1e-3", with an exponent of at most 3
 digits.  A Gaussian rational (a + b*i)/d is held as one integer triple
 with d > 0 and gcd(a, b, d) = 1, so its arithmetic is integer arithmetic
-and one gcd per result.
+and one gcd per result.  Entry by entry, that arithmetic lives only in
+`canonical` and the `triple_*` functions, which `GaussianRational`'s
+operators and `linalg.Matrix` share; `linalg`'s kernels fuse their sums.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from operator import attrgetter
 
 
 class ExactNumberError(ValueError):
@@ -82,24 +83,59 @@ def _format_ratio(p: int, q: int) -> str:
     return str(p) if q == 1 else f"{p}/{q}"
 
 
+def parse_triple(re, im=0) -> tuple[int, int, int]:
+    """The canonical triple of re + im*i, each part read by `_ratio`."""
+    a, p = _ratio(re)
+    b, q = _ratio(im)
+    return canonical(a * q, b * p, p * q)
+
+
+def canonical(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """The canonical triple of (a + b*i)/d for d > 0: divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    return (a, b, d) if g == 1 else (a // g, b // g, d // g)
+
+
+def triple_add(x, y) -> tuple[int, int, int]:
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if d1 == d2:
+        return canonical(a1 + a2, b1 + b2, d1)
+    return canonical(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+
+
+def triple_sub(x, y) -> tuple[int, int, int]:
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if d1 == d2:
+        return canonical(a1 - a2, b1 - b2, d1)
+    return canonical(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
+
+
+def triple_neg(x) -> tuple[int, int, int]:
+    return -x[0], -x[1], x[2]
+
+
+def triple_mul(x, y) -> tuple[int, int, int]:
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    return canonical(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+
+
 class GaussianRational:
     """Complex number with exact rational real and imaginary parts.
 
-    The value (a + b*i)/d is held as one integer triple (a, b, d) with
-    d > 0 and gcd(a, b, d) = 1.  That form is unique, so equality and
-    hashing compare the triple.  Every operation is integer arithmetic
-    followed by one three-way gcd in `_make`; only the public constructor
+    The value (a + b*i)/d is held as its canonical triple (a, b, d), d > 0
+    and gcd(a, b, d) = 1.  That form is unique, so equality and hashing
+    compare the triple.  The operators are the triple functions above,
+    and every result is built by `_make`; only the public constructor
     parses its arguments.  `re` and `im` are the parts as Fractions.
     """
 
     __slots__ = ("_t",)
 
     def __init__(self, re=0, im=0):
-        a, p = _ratio(re)
-        b, q = _ratio(im)
-        a, b, d = a * q, b * p, p * q
-        g = gcd(a, b, d)
-        _set(self, (a // g, b // g, d // g))
+        _set(self, parse_triple(re, im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -115,47 +151,35 @@ class GaussianRational:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        a1, b1, d1 = self._t
-        a2, b2, d2 = as_gaussian(other)._t
-        if d1 == d2:
-            return _make(a1 + a2, b1 + b2, d1)
-        return _make(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+        return _make(triple_add(self._t, triple(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a1, b1, d1 = self._t
-        a2, b2, d2 = as_gaussian(other)._t
-        if d1 == d2:
-            return _make(a1 - a2, b1 - b2, d1)
-        return _make(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
+        return _make(triple_sub(self._t, triple(other)))
 
     def __rsub__(self, other):
-        return as_gaussian(other) - self
+        return _make(triple_sub(triple(other), self._t))
 
     def __neg__(self):
-        a, b, d = self._t
-        return _make(-a, -b, d)
+        return _make(triple_neg(self._t))
 
     def __mul__(self, other):
-        a1, b1, d1 = self._t
-        a2, b2, d2 = as_gaussian(other)._t
-        return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+        return _make(triple_mul(self._t, triple(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         a1, b1, d1 = self._t
-        a2, b2, d2 = as_gaussian(other)._t
+        a2, b2, d2 = triple(other)
         if not a2 and not b2:
             raise ZeroDivisionError("division by zero Gaussian rational")
         # multiply by the conjugate a2 - b2*i over the norm a2^2 + b2^2
-        return _make(
-            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * (a2 * a2 + b2 * b2)
-        )
+        a, b = (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2
+        return _make(canonical(a, b, d1 * (a2 * a2 + b2 * b2)))
 
     def __rtruediv__(self, other):
-        return as_gaussian(other) / self
+        return _make(triple(other)) / self
 
     # -- structure ----------------------------------------------------------
 
@@ -200,40 +224,31 @@ _new = object.__new__
 _set = GaussianRational._t.__set__
 
 
-def _make(a: int, b: int, d: int) -> GaussianRational:
-    """(a + b*i)/d for d > 0, reduced to lowest terms."""
-    g = gcd(a, b, d)
-    if g != 1:
-        a //= g
-        b //= g
-        d //= g
+def _make(t: tuple[int, int, int]) -> GaussianRational:
+    """The Gaussian rational of the canonical triple t."""
     z = _new(GaussianRational)
-    _set(z, (a, b, d))
+    _set(z, t)
     return z
 
 
-# The canonical triple of a Gaussian rational, and the Gaussian rational of
-# any triple with d > 0, for exact kernels that compute on triples.
-triple = attrgetter("_t")
-from_triple = _make
+from_triple = _make  # for the Gaussian rational views of `linalg.Matrix`
 
 
-def as_gaussian(x) -> GaussianRational:
+def triple(x) -> tuple[int, int, int]:
+    """The canonical triple of a Gaussian rational, an int, a Fraction or a text."""
     if isinstance(x, GaussianRational):
-        return x
-    if type(x) is int:  # the triple (x, 0, 1), with nothing to parse
-        return _make(x, 0, 1)
-    return GaussianRational(x)
+        return x._t
+    return (x, 0, 1) if type(x) is int else parse_triple(x)
 
 
 def residue_map(p: int, s: int):
     """The ring homomorphism (a + b*i)/d -> (a + b*s) * d^-1 mod p, for a
-    prime p and s^2 = -1 mod p, as a function on Gaussian rationals that
+    prime p and s^2 = -1 mod p, as a function on canonical triples that
     returns None when p divides d.  Each distinct d is inverted once."""
     inverses: dict[int, int] = {}
 
-    def residue(x: GaussianRational) -> int | None:
-        a, b, d = x._t
+    def residue(t: tuple[int, int, int]) -> int | None:
+        a, b, d = t
         inv = inverses.get(d)
         if inv is None:
             if not d % p:

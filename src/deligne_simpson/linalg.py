@@ -10,20 +10,20 @@ c^-1 b.  Left division, `left_divide(c, b)`, eliminates [c | b] once and
 back-substitutes its right-hand sides; no inverse is built (c^-1 is
 `left_divide(c, Matrix.identity(n))`).
 
-The exact kernels compute on the triple (a, b, d) that a GaussianRational
-(a + b*i)/d holds, d > 0 and gcd(a, b, d) = 1, not through its operators.
-`_add_row` takes the ratio of an entry to the pivot with one gcd, and each
-updated entry row[j] - pivot_row[j] * ratio as one fraction with one gcd;
-`Matrix.__mul__` and `_back_substitute` sum each entry's products over the
-lcm of their denominators and reduce the sum once; `Matrix.norm_rowsum`
-sums each row's (|a| + |b|) / d the same way and builds one Fraction.
-The pivot rule, the row order and the unscaled stored rows are those of
-the operator kernel, and a canonical triple is unique, so every entry
-stored equals, step by step, the one the operators compute: only the
-intermediate gcds and objects are saved.  Every stored entry stays in
-lowest terms.  Scaling rows to Gaussian integers instead (fraction-free
-elimination) lets the entries of a closure's words grow with every
-product.
+A `Matrix` stores each entry (a + b*i)/d as its canonical triple (a, b, d),
+d > 0 and gcd(a, b, d) = 1; every method and kernel computes on triples,
+and Gaussian rationals are built only for the views `rows`, `m[i, j]` and
+`vec` and for `solve_first`'s answer.  `_add_row` takes the ratio of an
+entry to the pivot with one gcd, and each updated entry row[j] -
+pivot_row[j] * ratio as one fraction with one gcd; `Matrix.__mul__` and
+`_back_substitute` sum each entry's products over the lcm of their
+denominators and reduce the sum once; `Matrix.norm_rowsum` sums each
+row's (|a| + |b|) / d the same way and builds one Fraction.  The pivot
+rule, the row order and the unscaled stored rows are those of the
+operator kernel, and a canonical triple is unique, so every entry equals,
+step by step, the one the operators compute.  Scaling rows to Gaussian
+integers instead (fraction-free elimination) lets the entries of a
+closure's words grow with every product.
 
 Every witness check ranks one tangent map, built by `commutator_operator`:
 (X_1..X_k) -> sum of [M_j, X_j] with each X_j in sl_n.  Its rows index
@@ -58,11 +58,14 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 from math import gcd
-from operator import mul
+from operator import mul, neg, sub
 from typing import Iterable, Sequence
 
-from .exactnum import GR_ONE, GR_ZERO, GaussianRational, as_gaussian, from_triple, residue_map, triple
+from .exactnum import GaussianRational, canonical, from_triple, residue_map, triple
+from .exactnum import triple_add, triple_mul, triple_neg, triple_sub
 
 # the modular certificate's prime, = 1 (mod 4), and a square root of -1 mod it
 PRIME = 1073741789
@@ -78,24 +81,30 @@ class SingularMatrixError(LinalgError):
 
 
 class Matrix:
-    """Immutable matrix with GaussianRational entries."""
+    """Immutable matrix over Q(i), stored as rows of canonical triples.
 
-    __slots__ = ("rows",)
+    `Matrix(rows)` takes anything `exactnum.triple` accepts and keeps each
+    entry's triple (a, b, d); every method and kernel computes on those.
+    `rows`, `m[i, j]` and `vec(m)` are a read-only view: they build the
+    entries' Gaussian rationals on demand.
+    """
+
+    __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        converted = tuple(tuple(as_gaussian(x) for x in row) for row in rows)
+        converted = tuple(tuple(map(triple, row)) for row in rows)
         if not converted or not converted[0]:
             raise LinalgError("matrix needs at least one row and one column")
         width = len(converted[0])
         if any(len(r) != width for r in converted):
             raise LinalgError("ragged rows")
-        object.__setattr__(self, "rows", converted)
+        object.__setattr__(self, "_rows", converted)
 
     @classmethod
     def _of(cls, rows) -> "Matrix":
-        # rows the engine built: nonempty, rectangular, all GaussianRational
+        # rows the engine built: nonempty, rectangular, canonical triples
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "_rows", rows)
         return m
 
     def __setattr__(self, name, value):
@@ -103,21 +112,23 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._of(
-            tuple(tuple(GR_ONE if i == j else GR_ZERO for j in range(n)) for i in range(n))
-        )
+        return cls._of(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[GR_ZERO] * ncols for _ in range(nrows)])
+        return cls([[0] * ncols for _ in range(nrows)])
+
+    @property
+    def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        return tuple(tuple(map(from_triple, row)) for row in self._rows)
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        return len(self._rows[0])
 
     @property
     def is_square(self) -> bool:
@@ -125,28 +136,28 @@ class Matrix:
 
     def __getitem__(self, key):
         i, j = key
-        return self.rows[i][j]
+        return from_triple(self._rows[i][j])
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return isinstance(other, Matrix) and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self._rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         return Matrix._of(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
+            tuple(tuple(map(triple_add, ra, rb)) for ra, rb in zip(self._rows, other._rows))
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         return Matrix._of(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
+            tuple(tuple(map(triple_sub, ra, rb)) for ra, rb in zip(self._rows, other._rows))
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix._of(tuple(tuple(-a for a in row) for row in self.rows))
+        return Matrix._of(tuple(tuple(map(triple_neg, row)) for row in self._rows))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -155,36 +166,31 @@ class Matrix:
                     f"cannot multiply {self.nrows}x{self.ncols} by "
                     f"{other.nrows}x{other.ncols}"
                 )
-            cols = [tuple(map(triple, col)) for col in zip(*other.rows)]
+            cols = tuple(zip(*other._rows))
             return Matrix._of(tuple(
-                tuple([from_triple(*_dot(row, col)) for col in cols])
-                for row in map(_triples, self.rows)
+                tuple([canonical(*_dot(row, col)) for col in cols]) for row in self._rows
             ))
         return self.scale(other)
 
     def scale(self, scalar) -> "Matrix":
-        s = as_gaussian(scalar)
-        return Matrix._of(tuple(tuple(a * s for a in row) for row in self.rows))
+        s = triple(scalar)
+        return Matrix._of(tuple(tuple([triple_mul(a, s) for a in row]) for row in self._rows))
 
     def trace(self) -> GaussianRational:
         if not self.is_square:
             raise LinalgError("trace of a non-square matrix")
-        acc = GR_ZERO
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
+        return from_triple(reduce(triple_add, (row[i] for i, row in enumerate(self._rows)), ZERO))
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return all(t == ZERO for row in self._rows for t in row)
 
     def minus_scalar(self, lam) -> "Matrix":
         """self - lam * I"""
         if not self.is_square:
             raise LinalgError("scalar shift of a non-square matrix")
-        lam = as_gaussian(lam)
+        lam = triple(lam)
         return Matrix._of(tuple(
-            tuple(x - lam if i == j else x for j, x in enumerate(row))
-            for i, row in enumerate(self.rows)
+            (*row[:i], triple_sub(row[i], lam), *row[i + 1 :]) for i, row in enumerate(self._rows)
         ))
 
     def norm_rowsum(self) -> Fraction:
@@ -194,9 +200,9 @@ class Matrix:
         denominators, as `_dot` keeps its sums; rows are compared by cross
         multiplication, and one Fraction is built for the largest."""
         best, best_d = 0, 1
-        for row in self.rows:
+        for row in self._rows:
             s, sd = 0, 1
-            for a, b, d in map(triple, row):
+            for a, b, d in row:
                 if a or b:
                     m = abs(a) + abs(b)
                     if d == sd:
@@ -214,18 +220,13 @@ class Matrix:
             raise LinalgError("shape mismatch")
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(str(x) for x in row) for row in self.rows
-        )
+        body = "; ".join(" ".join(map(str, row)) for row in self.rows)
         return f"Matrix[{body}]"
 
 
-# the triple of 0
-ZERO = (0, 0, 1)
-
-
-def _triples(row) -> list[tuple[int, int, int]]:
-    return list(map(triple, row))
+# the triples of 0 and 1, and the (zero, sub, neg) of triples and of residues
+ZERO, ONE = (0, 0, 1), (1, 0, 1)
+EXACT, MODULAR = (ZERO, triple_sub, triple_neg), (0, sub, neg)
 
 
 def _add_row(pivots: dict[int, tuple], row: list[tuple[int, int, int]]) -> bool:
@@ -243,13 +244,11 @@ def _add_row(pivots: dict[int, tuple], row: list[tuple[int, int, int]]) -> bool:
             return True
         (pa, pb, pd), tail = pivot
         # the ratio row[c] / pivot entry, times the conjugate over the norm
-        ra, rb, rd = (a * pa + b * pb) * pd, (b * pa - a * pb) * pd, d * (pa * pa + pb * pb)
-        g = gcd(ra, rb, rd)
-        if g != 1:
-            ra, rb, rd = ra // g, rb // g, rd // g
+        ra, rb, rd = canonical((a * pa + b * pb) * pd, (b * pa - a * pb) * pd, d * (pa * pa + pb * pb))
         row[c] = ZERO
         # row[j] - pivot_row[j] * ratio as one fraction: (a - m) / d when the
-        # product's denominator md is d, else (a md - m d) / (d md)
+        # product's denominator md is d, else (a md - m d) / (d md), reduced
+        # as `canonical` reduces but inline, in the kernel's innermost loop
         for j, fa, fb, fd in tail:
             ma, mb, md = fa * ra - fb * rb, fa * rb + fb * ra, fd * rd
             ea, eb, ed = row[j]
@@ -263,10 +262,10 @@ def _add_row(pivots: dict[int, tuple], row: list[tuple[int, int, int]]) -> bool:
 
 
 def _reduce(rows) -> dict[int, tuple]:
-    """The pivot rows of the elimination of rows of Gaussian rationals."""
+    """The pivot rows of the elimination of rows of canonical triples."""
     pivots: dict[int, tuple] = {}
     for row in rows:
-        _add_row(pivots, _triples(row))
+        _add_row(pivots, list(row))
     return pivots
 
 
@@ -288,13 +287,12 @@ def _dot(xs, ys) -> tuple[int, int, int]:
     return sa, sb, sd
 
 
-def _back_substitute(pivots: dict[int, tuple], ncols: int, nrhs: int) -> list[list[GaussianRational]]:
-    """The solution X, one row per unknown, of the reduced system whose
-    last `nrhs` columns are right-hand sides, every free unknown zero.
-    Entry r of unknown c is (rhs_r - sum of f_j x_jr) / pivot over the
-    pivot row's nonzero f_j, one fraction reduced once."""
+def _back_substitute(pivots: dict[int, tuple], ncols: int, nrhs: int) -> list[list[tuple]]:
+    """The solution X, one row of triples per unknown, of the reduced
+    system whose last `nrhs` columns are right-hand sides, every free
+    unknown zero.  Entry r of unknown c is (rhs_r - sum of f_j x_jr) /
+    pivot over the pivot row's nonzero f_j, one fraction reduced once."""
     x = [[ZERO] * nrhs for _ in range(ncols)]
-    out = [[GR_ZERO] * nrhs for _ in range(ncols)]
     for c in sorted(pivots, reverse=True):
         (pa, pb, pd), tail = pivots[c]
         rhs = [ZERO] * nrhs
@@ -306,13 +304,12 @@ def _back_substitute(pivots: dict[int, tuple], ncols: int, nrhs: int) -> list[li
             else:
                 rhs[j - ncols] = (a, b, d)
         norm = pa * pa + pb * pb
-        out[c] = entries = []
+        x[c] = entries = []
         for r, (ra, rb, rd) in enumerate(rhs):
             sa, sb, sd = _dot(fs, [y[r] for y in known])
             a, b, d = ra * sd - sa * rd, rb * sd - sb * rd, rd * sd
-            entries.append(from_triple((a * pa + b * pb) * pd, (b * pa - a * pb) * pd, d * norm))
-        x[c] = _triples(entries)
-    return out
+            entries.append(canonical((a * pa + b * pb) * pd, (b * pa - a * pb) * pd, d * norm))
+    return x
 
 
 def pivot_columns(matrix: Matrix) -> list[int]:
@@ -322,7 +319,7 @@ def pivot_columns(matrix: Matrix) -> list[int]:
     them, so the rank of any leading block of columns is the number of
     pivots inside it.
     """
-    return sorted(_reduce(matrix.rows))
+    return sorted(_reduce(matrix._rows))
 
 
 def rank(matrix: Matrix) -> int:
@@ -337,10 +334,10 @@ def solve_first(matrix: Matrix, rhs: Sequence[GaussianRational]):
     if len(rhs) != matrix.nrows:
         raise LinalgError("right-hand side length mismatch")
     ncols = matrix.ncols
-    pivots = _reduce((*row, as_gaussian(b)) for row, b in zip(matrix.rows, rhs))
+    pivots = _reduce((*row, triple(b)) for row, b in zip(matrix._rows, rhs))
     if ncols in pivots:
         return None, len(pivots) - 1
-    return [xc[0] for xc in _back_substitute(pivots, ncols, 1)], len(pivots)
+    return [from_triple(xc[0]) for xc in _back_substitute(pivots, ncols, 1)], len(pivots)
 
 
 def left_divide(c: Matrix, b: Matrix) -> Matrix:
@@ -352,7 +349,7 @@ def left_divide(c: Matrix, b: Matrix) -> Matrix:
     n = c.nrows
     if not c.is_square or b.nrows != n:
         raise LinalgError(f"cannot divide {b.nrows}x{b.ncols} on the left by {n}x{c.ncols}")
-    pivots = _reduce(map(tuple.__add__, c.rows, b.rows))
+    pivots = _reduce(map(tuple.__add__, c._rows, b._rows))
     if sum(p < n for p in pivots) < n:
         raise SingularMatrixError("matrix is singular")
     return Matrix._of(tuple(map(tuple, _back_substitute(pivots, n, b.ncols))))
@@ -385,7 +382,7 @@ def algebra_dimension(matrices: Sequence[Matrix]) -> int:
     span does not depend on the order, and short words keep entries small.
     """
     n = matrices[0].nrows
-    return _closure(matrices, Matrix.identity(n), Matrix.__mul__, lambda m: _triples(vec(m)), _add_row)
+    return _closure(matrices, Matrix.identity(n), Matrix.__mul__, lambda m: [*chain(*m._rows)], _add_row)
 
 
 def _closure(gens, one, product, flat, add_row) -> int:
@@ -412,7 +409,7 @@ def _residues(matrices: Sequence[Matrix]) -> list[tuple[tuple[int, ...], ...]] |
     residue = residue_map(PRIME, ROOT)
     out = []
     for m in matrices:
-        rows = tuple(tuple(map(residue, row)) for row in m.rows)
+        rows = tuple(tuple(map(residue, row)) for row in m._rows)
         if any(None in row for row in rows):
             return None
         out.append(rows)
@@ -433,7 +430,7 @@ def _residue_tangent_rank(residues, bound: int) -> int:
     n = len(residues[0])
     pivots: dict[int, list[tuple[int, int]]] = {}
     for rows in residues:
-        for v in _supports(_placed(rows, n), n):
+        for v in _supports(_placed(rows, n, MODULAR), n, MODULAR):
             if len(pivots) == bound:
                 return bound
             column = [0] * (n * n)
@@ -458,12 +455,12 @@ def _residue_product(a, b):
 
 def vec(matrix: Matrix) -> tuple[GaussianRational, ...]:
     """Row-major flattening."""
-    return tuple(x for row in matrix.rows for x in row)
+    return tuple(map(from_triple, chain(*matrix._rows)))
 
 
 def basis_matrix(n: int, r: int, s: int) -> Matrix:
-    rows = [[GR_ZERO] * n for _ in range(n)]
-    rows[r][s] = GR_ONE
+    rows = [[0] * n for _ in range(n)]
+    rows[r][s] = 1
     return Matrix(rows)
 
 
@@ -471,9 +468,9 @@ def sl_basis(n: int) -> list[Matrix]:
     """Trace-zero basis: all off-diagonal units, then E_ii - E_(i+1)(i+1)."""
     out = [basis_matrix(n, r, s) for r in range(n) for s in range(n) if r != s]
     for i in range(n - 1):
-        rows = [[GR_ZERO] * n for _ in range(n)]
-        rows[i][i] = GR_ONE
-        rows[i + 1][i + 1] = -GR_ONE
+        rows = [[0] * n for _ in range(n)]
+        rows[i][i] = 1
+        rows[i + 1][i + 1] = -1
         out.append(Matrix(rows))
     return out
 
@@ -483,12 +480,12 @@ def sl_element(n: int, coords: Sequence[GaussianRational]) -> Matrix:
     entry by entry: the off-diagonal coordinates in place, then diagonal
     entry i is d_i - d_(i-1), d_i the coordinate of E_ii - E_(i+1)(i+1)
     and d_(-1) = d_(n-1) = 0."""
-    off = iter(coords[: n * n - n])
-    rows = [[GR_ZERO if r == s else next(off) for s in range(n)] for r in range(n)]
-    diag = [GR_ZERO, *coords[n * n - n :], GR_ZERO]
+    off = map(triple, coords[: n * n - n])
+    rows = [[ZERO if r == s else next(off) for s in range(n)] for r in range(n)]
+    diag = [ZERO, *map(triple, coords[n * n - n :]), ZERO]
     for i in range(n):
-        rows[i][i] = diag[i + 1] - diag[i]
-    return Matrix(rows)
+        rows[i][i] = triple_sub(diag[i + 1], diag[i])
+    return Matrix._of(tuple(map(tuple, rows)))
 
 
 def commutator_operator(
@@ -506,56 +503,59 @@ def commutator_operator(
     n = matrices[0].nrows
     if n == 1:
         return Matrix.zeros(1, 1)
-    columns: list[list[GaussianRational]] = []
+    columns: list[list[tuple[int, int, int]]] = []
     for j, m in enumerate(matrices):
-        image = _placed(m.rows, n) if outer is None else _multiplied(m, *outer[j], n)
-        for v in _supports(image, n):
-            column = [GR_ZERO] * (n * n)
+        image = _placed(m._rows, n, EXACT) if outer is None else _multiplied(m, *outer[j], n)
+        for v in _supports(image, n, EXACT):
+            column = [ZERO] * (n * n)
             for p, x in v.items():
                 column[p] = x
             columns.append(column)
     return Matrix._of(tuple(zip(*columns)))
 
 
-def _supports(image, n: int) -> list[dict]:
-    """The supports of image(b) for b in sl_basis(n), in order."""
+def _supports(image, n: int, ring) -> list[dict]:
+    """The supports of image(b) for b in sl_basis(n), in order, with the
+    entries' (zero, sub, neg) in `ring`."""
+    _, sub, neg = ring
     diagonal = [image(i, i) for i in range(n)]
     for step, nxt in zip(diagonal, diagonal[1:]):
         for p, x in nxt.items():
-            step[p] = step[p] - x if p in step else -x
+            step[p] = sub(step[p], x) if p in step else neg(x)
     return [image(r, s) for r in range(n) for s in range(n) if r != s] + diagonal[:-1]
 
 
-def _placed(rows, n: int):
+def _placed(rows, n: int, ring):
     """image(r, s), the support of [M, E_rs] for the matrix with these rows;
-    the entries may be Gaussian rationals or residues."""
-    cols = _nonzero(zip(*rows))
-    neg_rows = [[(b, -y) for b, y in row] for row in _nonzero(rows)]
+    the entries are triples (ring EXACT) or residues (ring MODULAR)."""
+    zero, sub, neg = ring
+    cols = _nonzero(zip(*rows), zero)
+    neg_rows = [[(b, neg(y)) for b, y in row] for row in _nonzero(rows, zero)]
 
     def image(r: int, s: int) -> dict:
         v = {a * n + s: x for a, x in cols[r]}
         v.update((r * n + b, y) for b, y in neg_rows[s])
-        v[r * n + s] = rows[r][r] - rows[s][s]
+        v[r * n + s] = sub(rows[r][r], rows[s][s])
         return v
 
     return image
 
 
 def _multiplied(m: Matrix, left: Matrix, right: Matrix, n: int):
-    left_cols, lm_cols = _nonzero(zip(*left.rows)), _nonzero(zip(*(left * m).rows))
-    right_rows, mr_rows = _nonzero(right.rows), _nonzero((m * right).rows)
+    left_cols, lm_cols = _nonzero(zip(*left._rows), ZERO), _nonzero(zip(*(left * m)._rows), ZERO)
+    right_rows, mr_rows = _nonzero(right._rows, ZERO), _nonzero((m * right)._rows, ZERO)
 
-    def image(r: int, s: int) -> dict[int, GaussianRational]:
-        v = {a * n + b: x * y for a, x in lm_cols[r] for b, y in right_rows[s]}
+    def image(r: int, s: int) -> dict[int, tuple[int, int, int]]:
+        v = {a * n + b: triple_mul(x, y) for a, x in lm_cols[r] for b, y in right_rows[s]}
         for a, x in left_cols[r]:
             for b, y in mr_rows[s]:
                 p = a * n + b
-                v[p] = v[p] - x * y if p in v else -(x * y)
+                v[p] = triple_sub(v[p], triple_mul(x, y)) if p in v else triple_neg(triple_mul(x, y))
         return v
 
     return image
 
 
-def _nonzero(lines) -> list[list[tuple[int, object]]]:
-    """Per line, the (position, entry) pairs of its nonzero entries."""
-    return [[(i, x) for i, x in enumerate(line) if x] for line in lines]
+def _nonzero(lines, zero) -> list[list[tuple[int, object]]]:
+    """Per line, the (position, entry) pairs of its entries other than `zero`."""
+    return [[(i, x) for i, x in enumerate(line) if x != zero] for line in lines]

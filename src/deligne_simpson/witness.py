@@ -314,7 +314,7 @@ def assemble_block_diagonal(block_tuple: MatrixTuple, copies: int) -> AssemblyRe
         for b in range(copies):
             for i in range(l):
                 for j in range(l):
-                    rows[b * l + i][b * l + j] = m.rows[i][j]
+                    rows[b * l + i][b * l + j] = m[i, j]
         assembled.append(Matrix(rows))
     cert_rows = [[GR_ZERO] * n for _ in range(n)]
     for i in range(l):
@@ -393,7 +393,7 @@ def deform_step(
     leading = base.matrices[:-1]
     if leading:
         coords, map_rank = solve_first(
-            commutator_operator(leading, outer and outer[:-1]), [-x for x in vec(drift)]
+            commutator_operator(leading, outer and outer[:-1]), vec(-drift)
         )
     else:
         coords, map_rank = [], 0

@@ -249,7 +249,46 @@ DEEP_PATHS = {
         "witness", [_set(["matrices", 1], [[{"re": "0"}] * 3] * 2)],
         "matrices[1]: must be a list of 3 rows",
     ),
+    "entry with an extra key": (
+        "witness", [_set(["matrices", 2, 2, 1], {"re": "1", "im": "0", "x": "0"})],
+        'matrices[2][2][1]: additive values use {"re": "p/q", "im": "p/q"}',
+    ),
+    "entry without re": (
+        "witness", [_set(["matrices", 1, 2, 2], {"im": "1"})],
+        'matrices[1][2][2]: additive values use {"re": "p/q", "im": "p/q"}',
+    ),
 }
+
+
+def _int_limit_text(digits: str) -> str:
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("no digit limit")
+
+
+# The witness-entry reader refuses a bad part in `re` and in `im` alike,
+# with `_ratio`'s text and the entry's path.
+_DIGITS = "1" * 5000
+_BAD_PARTS = {
+    "float": (1.5, "refusing float 1.5; pass a string like '1/3'"),
+    "bool": (True, "cannot parse True as a rational"),
+    "null": (None, "cannot parse None as a rational"),
+    "zero denominator": ("1/0", "malformed rational '1/0': Fraction(1, 0)"),
+    "5000-digit integer": (_DIGITS, f"malformed rational '{_DIGITS}': {_int_limit_text(_DIGITS)}"),
+    "4-digit exponent": (
+        "1e1000",
+        "malformed rational '1e1000': expected p/q, an integer or a decimal "
+        "such as 1.5 or 1e-3 (exponent <= 3 digits)",
+    ),
+}
+for _name, (_bad, _text) in _BAD_PARTS.items():
+    for _part, (_j, _i, _k) in (("re", (1, 2, 1)), ("im", (2, 1, 2))):
+        DEEP_PATHS[f"entry {_part} {_name}"] = (
+            "witness", [_set(["matrices", _j, _i, _k], {"re": "1", "im": "0", _part: _bad})],
+            f"matrices[{_j}][{_i}][{_k}]: {_text}",
+        )
 
 
 @pytest.mark.parametrize("name", sorted(DEEP_PATHS))

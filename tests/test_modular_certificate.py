@@ -28,7 +28,7 @@ from deligne_simpson import (
     tangent_rank,
     verify_relation,
 )
-from deligne_simpson.exactnum import residue_map
+from deligne_simpson.exactnum import residue_map, triple
 from deligne_simpson.linalg import (
     PRIME,
     ROOT,
@@ -54,7 +54,10 @@ def test_prime_and_root():
 
 def test_residue_map_is_a_ring_homomorphism():
     rng = random.Random(71)
-    residue = residue_map(PRIME, ROOT)
+    on_triples = residue_map(PRIME, ROOT)
+
+    def residue(x):
+        return on_triples(triple(x))
 
     def value():
         return GaussianRational(
