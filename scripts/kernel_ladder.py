@@ -6,15 +6,17 @@ Usage: python scripts/kernel_ladder.py [--sizes 4-12] [--bits 8,20,60]
 
 For each size n and bit size b the inputs are two n x n matrices A and B
 and a column v whose entries are (p + q*i)/d with |p|, |q| <= 2^b and
-1 <= d <= 2^b, A invertible; and the pair of generators of the exact
-`algebra_dimension`: a diagonal matrix of Gaussian integers with parts of
+1 <= d <= 2^b, A invertible; and the pair of generators of
+`exact_algebra_dimension`: a diagonal matrix of Gaussian integers with parts of
 at most b bits and the cyclic shift, which generate all n x n matrices.
 (The closure's words are products of up to about 2n generators, so with
 b-bit denominators their entries, and the time, grow far past the other
 kernels'.)  Each kernel's time is the median wall time in seconds over
 `--repeats` calls: rank(A), solve_first(A, v), the inverse of A as
-left_divide(A, I), A * B and algebra_dimension([D, P]).  The answers are
-printed beside the times.
+left_divide(A, I), A * B and, in the `algebra_dimension` row, the exact
+closure exact_algebra_dimension([D, P]): the generators span every
+matrix, so the certified `algebra_dimension` would time its modular pass
+instead.  The answers are printed beside the times.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from deligne_simpson import GaussianRational, Matrix
-from deligne_simpson.linalg import algebra_dimension, left_divide, rank, solve_first
+from deligne_simpson.linalg import exact_algebra_dimension, left_divide, rank, solve_first
 
 
 def _ratio(rng: random.Random, bits: int) -> str:
@@ -55,7 +57,7 @@ def _inputs(n: int, bits: int) -> dict:
     return {
         "a": a,
         "b": _matrix(rng, n, bits),
-        "v": [_entry(rng, bits) for _ in range(n)],
+        "v": Matrix([[_entry(rng, bits)] for _ in range(n)]),
         "gens": [
             Matrix([[diagonal[r] if r == s else 0 for s in range(n)] for r in range(n)]),
             Matrix([[int(s == (r + 1) % n) for s in range(n)] for r in range(n)]),
@@ -68,7 +70,7 @@ KERNELS = {
     "solve_first": lambda x: solve_first(x["a"], x["v"])[1],
     "inverse": lambda x: left_divide(x["a"], Matrix.identity(x["a"].nrows)).nrows,
     "matmul": lambda x: (x["a"] * x["b"]).nrows,
-    "algebra_dimension": lambda x: algebra_dimension(x["gens"]),
+    "algebra_dimension": lambda x: exact_algebra_dimension(x["gens"]),
 }
 
 

@@ -225,13 +225,11 @@ _set = GaussianRational._t.__set__
 
 
 def _make(t: tuple[int, int, int]) -> GaussianRational:
-    """The Gaussian rational of the canonical triple t."""
+    """The Gaussian rational of the canonical triple t; `linalg.Matrix`'s
+    views are built with it too."""
     z = _new(GaussianRational)
     _set(z, t)
     return z
-
-
-from_triple = _make  # for the Gaussian rational views of `linalg.Matrix`
 
 
 def triple(x) -> tuple[int, int, int]:

@@ -12,8 +12,9 @@ back-substitutes its right-hand sides; no inverse is built (c^-1 is
 
 A `Matrix` stores each entry (a + b*i)/d as its canonical triple (a, b, d),
 d > 0 and gcd(a, b, d) = 1; every method and kernel computes on triples,
-and Gaussian rationals are built only for the views `rows`, `m[i, j]` and
-`vec` and for `solve_first`'s answer.  `_add_row` takes the ratio of an
+including `vec` and `solve_first`, which take and return one-column
+matrices, and Gaussian rationals are built only for the views `rows`,
+`m[i, j]` and `trace()`.  `_add_row` takes the ratio of an
 entry to the pivot with one gcd, and each updated entry row[j] -
 pivot_row[j] * ratio as one fraction with one gcd; `Matrix.__mul__` and
 `_back_substitute` sum each entry's products over the lcm of their
@@ -41,17 +42,20 @@ L [M, E_rs] R = (LM) E_rs R - L E_rs (MR) costs one product per pair of
 nonzero entries.  Each image is held as its support {position: entry},
 so a diagonal column E_ii - E_(i+1)(i+1) differences two supports.
 
-A full-rank fact is first certified modulo one fixed prime PRIME = 1 (mod
-4), with i mapped to ROOT, a square root of -1 mod PRIME.  The map
-(a + b*i)/d -> (a + b*ROOT) * d^-1 mod PRIME is a ring homomorphism on the
-Gaussian rationals whose d is prime to PRIME, so every minor of a matrix
-over them reduces to the same minor of the reduced matrix: the rank mod
-PRIME never exceeds the rank over Q(i).  A rank mod PRIME that reaches a
-bound proven over Q(i) therefore proves the rank equal to it.  The
-residues run through the same placement code as the exact map and through
-`_add_residue_row`, `_add_row` mod PRIME with each stored row scaled to
-pivot 1; a shortfall, or a denominator divisible by PRIME, leaves the fact
-to the exact kernel.
+This module alone decides when a fact is proven modulo one fixed prime
+PRIME = 1 (mod 4), with i mapped to ROOT, a square root of -1 mod PRIME,
+and against which bound: rank n in `is_invertible`, n^2 - n for the
+tangent map of one matrix and n^2 - 1 for that of several in
+`tangent_ranks`, n^2 in `algebra_dimension`.  The map (a + b*i)/d ->
+(a + b*ROOT) * d^-1 mod PRIME is a ring homomorphism on the Gaussian
+rationals whose d is prime to PRIME, so every minor of a matrix over them
+reduces to the same minor of the reduced matrix: the rank mod PRIME never
+exceeds the rank over Q(i), and a rank mod PRIME that reaches a bound
+proven over Q(i) proves the rank equal to it.  Each `Matrix` reduces its
+rows mod PRIME once, on first use; they run through the same placement
+code as the exact map and through `_add_residue_row`, `_add_row` mod
+PRIME with each stored row scaled to pivot 1.  A shortfall, or a
+denominator divisible by PRIME, leaves the fact to the exact kernel.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from math import gcd
 from operator import mul, neg, sub
 from typing import Iterable, Sequence
 
-from .exactnum import GaussianRational, canonical, from_triple, residue_map, triple
+from .exactnum import GaussianRational, _make, canonical, residue_map, triple
 from .exactnum import triple_add, triple_mul, triple_neg, triple_sub
 
 # the modular certificate's prime, = 1 (mod 4), and a square root of -1 mod it
@@ -85,11 +89,12 @@ class Matrix:
 
     `Matrix(rows)` takes anything `exactnum.triple` accepts and keeps each
     entry's triple (a, b, d); every method and kernel computes on those.
-    `rows`, `m[i, j]` and `vec(m)` are a read-only view: they build the
-    entries' Gaussian rationals on demand.
+    `rows` and `m[i, j]` are a read-only view: they build the entries'
+    Gaussian rationals on demand.  The rows mod PRIME are kept once
+    reduced, for the certificates.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_mod_prime")
 
     def __init__(self, rows: Iterable[Iterable]):
         converted = tuple(tuple(map(triple, row)) for row in rows)
@@ -120,7 +125,7 @@ class Matrix:
 
     @property
     def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
-        return tuple(tuple(map(from_triple, row)) for row in self._rows)
+        return tuple(tuple(map(_make, row)) for row in self._rows)
 
     @property
     def nrows(self) -> int:
@@ -136,7 +141,7 @@ class Matrix:
 
     def __getitem__(self, key):
         i, j = key
-        return from_triple(self._rows[i][j])
+        return _make(self._rows[i][j])
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self._rows == other._rows
@@ -179,7 +184,7 @@ class Matrix:
     def trace(self) -> GaussianRational:
         if not self.is_square:
             raise LinalgError("trace of a non-square matrix")
-        return from_triple(reduce(triple_add, (row[i] for i, row in enumerate(self._rows)), ZERO))
+        return _make(reduce(triple_add, (row[i] for i, row in enumerate(self._rows)), ZERO))
 
     def is_zero(self) -> bool:
         return all(t == ZERO for row in self._rows for t in row)
@@ -214,6 +219,17 @@ class Matrix:
             if s * best_d > best * sd:
                 best, best_d = s, sd
         return Fraction(best, best_d)
+
+    def _residue_rows(self) -> tuple[tuple[int, ...], ...] | None:
+        """The rows mod PRIME, reduced on first use, or None when PRIME
+        divides a denominator."""
+        try:
+            return self._mod_prime
+        except AttributeError:
+            residue = residue_map(PRIME, ROOT)
+            rows = tuple(tuple(map(residue, row)) for row in self._rows)
+            object.__setattr__(self, "_mod_prime", None if any(None in row for row in rows) else rows)
+            return self._mod_prime
 
     def _check_same_shape(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -326,18 +342,18 @@ def rank(matrix: Matrix) -> int:
     return len(pivot_columns(matrix))
 
 
-def solve_first(matrix: Matrix, rhs: Sequence[GaussianRational]):
-    """(x, rank): one exact solution of matrix @ x = rhs with all free
-    variables set to zero, or None when the system is inconsistent, and
-    the rank of `matrix`, from the one elimination of the augmented
-    system."""
-    if len(rhs) != matrix.nrows:
-        raise LinalgError("right-hand side length mismatch")
+def solve_first(matrix: Matrix, rhs: Matrix):
+    """(x, rank): one exact solution x, a one-column matrix, of matrix @ x
+    = rhs, a one-column matrix, with all free variables set to zero, or
+    None when the system is inconsistent, and the rank of `matrix`, from
+    the one elimination of the augmented system."""
+    if rhs.nrows != matrix.nrows or rhs.ncols != 1:
+        raise LinalgError("right-hand side must be one column of matching length")
     ncols = matrix.ncols
-    pivots = _reduce((*row, triple(b)) for row, b in zip(matrix._rows, rhs))
+    pivots = _reduce(map(tuple.__add__, matrix._rows, rhs._rows))
     if ncols in pivots:
         return None, len(pivots) - 1
-    return [from_triple(xc[0]) for xc in _back_substitute(pivots, ncols, 1)], len(pivots)
+    return Matrix._of(tuple(map(tuple, _back_substitute(pivots, ncols, 1)))), len(pivots)
 
 
 def left_divide(c: Matrix, b: Matrix) -> Matrix:
@@ -374,8 +390,55 @@ def _add_residue_row(pivots: dict[int, list[tuple[int, int]]], row: list[int]) -
     return False
 
 
+def is_invertible(m: Matrix) -> bool:
+    """Whether the square matrix has rank n: proven by rank n mod PRIME,
+    otherwise decided by the exact rank."""
+    n = m.nrows
+    residues = m._residue_rows()
+    return (residues is not None and _residue_rank(residues) == n) or rank(m) == n
+
+
+def tangent_ranks(matrices: Sequence[Matrix], leading: int) -> tuple[int, int]:
+    """The ranks of the tangent map of the matrices and of the map of
+    their first `leading` matrices (its first leading (n^2 - 1) columns),
+    1 <= leading <= k.
+
+    Every centralizer has dimension at least n and commutators are
+    trace-zero, so the map's rank is at most n^2 - n for one matrix and
+    n^2 - 1 for several.  The first `leading` matrices can reach the whole
+    map's bound only when they are all of them or at least two; reached
+    mod PRIME, it is both ranks.  Otherwise one exact elimination decides:
+    the map's `rank`, or its pivot columns when `leading` < k."""
+    n, k = matrices[0].nrows, len(matrices)
+    bound = n * n - (n if k == 1 else 1)
+    if leading == k or leading > 1:
+        residues = _residues(matrices[:leading])
+        if residues is not None and _residue_tangent_rank(residues, bound) == bound:
+            return bound, bound
+    operator = commutator_operator(matrices)
+    if leading == k:
+        return (rank(operator),) * 2
+    pivots = pivot_columns(operator)
+    return len(pivots), sum(c < leading * (n * n - 1) for c in pivots)
+
+
 def algebra_dimension(matrices: Sequence[Matrix]) -> int:
     """Dimension of the unital algebra generated by the square matrices.
+
+    n^2 words independent mod PRIME are independent over Q(i), so a
+    closure mod PRIME that reaches n^2 proves the full dimension;
+    otherwise `exact_algebra_dimension` decides."""
+    n = matrices[0].nrows
+    residues = _residues(matrices)
+    if residues is not None:
+        one = tuple(tuple(int(r == s) for s in range(n)) for r in range(n))
+        if _closure(residues, one, _residue_product, lambda m: [*chain(*m)], _add_residue_row) == n * n:
+            return n * n
+    return exact_algebra_dimension(matrices)
+
+
+def exact_algebra_dimension(matrices: Sequence[Matrix]) -> int:
+    """`algebra_dimension` by the exact closure alone.
 
     The span of the words in the generators is closed by left-multiplying
     every independent word by every generator, shortest words first: the
@@ -404,16 +467,10 @@ def _closure(gens, one, product, flat, add_row) -> int:
 
 
 def _residues(matrices: Sequence[Matrix]) -> list[tuple[tuple[int, ...], ...]] | None:
-    """Each matrix's rows reduced mod PRIME, or None when PRIME divides a
-    denominator."""
-    residue = residue_map(PRIME, ROOT)
-    out = []
-    for m in matrices:
-        rows = tuple(tuple(map(residue, row)) for row in m._rows)
-        if any(None in row for row in rows):
-            return None
-        out.append(rows)
-    return out
+    """Each matrix's rows mod PRIME, or None when PRIME divides a
+    denominator of one of them."""
+    out = [m._residue_rows() for m in matrices]
+    return None if None in out else out
 
 
 def _residue_rank(rows) -> int:
@@ -440,22 +497,15 @@ def _residue_tangent_rank(residues, bound: int) -> int:
     return len(pivots)
 
 
-def _residue_algebra_dimension(residues) -> int:
-    """`algebra_dimension` of the reduced matrices, mod PRIME."""
-    n = len(residues[0])
-    one = tuple(tuple(int(r == s) for s in range(n)) for r in range(n))
-    return _closure(residues, one, _residue_product, lambda m: [x for row in m for x in row], _add_residue_row)
-
-
 def _residue_product(a, b):
     """The product mod PRIME of two reduced matrices."""
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) % PRIME for col in cols) for row in a)
 
 
-def vec(matrix: Matrix) -> tuple[GaussianRational, ...]:
-    """Row-major flattening."""
-    return tuple(map(from_triple, chain(*matrix._rows)))
+def vec(matrix: Matrix) -> Matrix:
+    """The row-major flattening, as one column."""
+    return Matrix._of(tuple((t,) for t in chain(*matrix._rows)))
 
 
 def basis_matrix(n: int, r: int, s: int) -> Matrix:
@@ -475,14 +525,17 @@ def sl_basis(n: int) -> list[Matrix]:
     return out
 
 
-def sl_element(n: int, coords: Sequence[GaussianRational]) -> Matrix:
-    """The trace-zero matrix sum of coords[i] * sl_basis(n)[i], written
-    entry by entry: the off-diagonal coordinates in place, then diagonal
-    entry i is d_i - d_(i-1), d_i the coordinate of E_ii - E_(i+1)(i+1)
-    and d_(-1) = d_(n-1) = 0."""
-    off = map(triple, coords[: n * n - n])
+def sl_element(n: int, coords: Matrix, block: int) -> Matrix:
+    """The trace-zero matrix sum of c_i * sl_basis(n)[i], c_i the entry
+    block * (n^2 - 1) + i of the one-column matrix `coords`, written entry
+    by entry: the off-diagonal coordinates in place, then diagonal entry i
+    is d_i - d_(i-1), d_i the coordinate of E_ii - E_(i+1)(i+1) and
+    d_(-1) = d_(n-1) = 0."""
+    size = n * n - 1
+    c = [row[0] for row in coords._rows[block * size : (block + 1) * size]]
+    off = iter(c[: n * n - n])
     rows = [[ZERO if r == s else next(off) for s in range(n)] for r in range(n)]
-    diag = [ZERO, *map(triple, coords[n * n - n :]), ZERO]
+    diag = [ZERO, *c[n * n - n :], ZERO]
     for i in range(n):
         rows[i][i] = triple_sub(diag[i + 1], diag[i])
     return Matrix._of(tuple(map(tuple, rows)))

@@ -20,17 +20,14 @@ from .jnf_core import ClassSpec, d_of, rank_sequence
 from .linalg import (
     Matrix,
     SingularMatrixError,
-    _residue_algebra_dimension,
-    _residue_rank,
-    _residue_tangent_rank,
-    _residues,
     algebra_dimension,
     commutator_operator,
+    is_invertible,
     left_divide,
-    pivot_columns,
     rank,
     sl_element,
     solve_first,
+    tangent_ranks,
     vec,
 )
 
@@ -58,7 +55,7 @@ class MatrixTuple:
     checked eagerly at construction.
     """
 
-    __slots__ = ("mode", "matrices", "_residues")
+    __slots__ = ("mode", "matrices")
 
     def __init__(self, mode: str, matrices: Sequence[Matrix]):
         matrices = tuple(matrices)
@@ -75,11 +72,8 @@ class MatrixTuple:
                 raise WitnessError(f"matrix {j} is not {n}x{n}")
         object.__setattr__(self, "matrices", matrices)
         if known.invertible:
-            # full rank mod PRIME proves a matrix invertible; the exact rank
-            # decides the rest
-            residues = self.residues
             for j, m in enumerate(matrices):
-                if (residues is None or _residue_rank(residues[j]) < n) and rank(m) != n:
+                if not is_invertible(m):
                     raise WitnessError(f"matrix {j} is singular in multiplicative mode")
         object.__setattr__(self, "mode", known)
 
@@ -93,16 +87,6 @@ class MatrixTuple:
     @property
     def count(self) -> int:
         return len(self.matrices)
-
-    @property
-    def residues(self):
-        """The matrices' rows mod linalg.PRIME, reduced on first use, or
-        None when PRIME divides a denominator."""
-        try:
-            return self._residues
-        except AttributeError:
-            object.__setattr__(self, "_residues", _residues(self.matrices))
-            return self._residues
 
     def __eq__(self, other):
         return (
@@ -176,7 +160,7 @@ class TangentRank:
 
 
 def tangent_rank(t: MatrixTuple) -> TangentRank:
-    """One elimination of the tangent map (X_1..X_k) -> sum of [M_j, X_j].
+    """The rank of the tangent map (X_1..X_k) -> sum of [M_j, X_j].
 
     The centralizer {X : XM_j = M_jX for all j} is the trace-form orthogonal
     complement of the map's image, so its dimension is n^2 minus the rank;
@@ -184,25 +168,12 @@ def tangent_rank(t: MatrixTuple) -> TangentRank:
     inputs of X_j, so the first (k - 1)(n^2 - 1) columns are the map of the
     first k - 1 matrices alone, and the pivots among them count its rank.
     That sub-map is onto the trace-zero matrices (commutators land there)
-    exactly when this count is n^2 - 1; None for a single matrix.
-
-    Commutators are trace-zero, so n^2 - 1 bounds every rank here.  When
-    the map of the first k - 1 matrices (of the one matrix, k = 1) reaches
-    it mod PRIME, the whole map has rank n^2 - 1 and that sub-map is onto;
-    otherwise the exact map is eliminated.
+    exactly when its rank is n^2 - 1; None for a single matrix.
+    `linalg.tangent_ranks` gives both ranks.
     """
     n2 = t.n * t.n
-    residues = t.residues
-    if residues is not None:
-        leading = residues[: max(t.count - 1, 1)]
-        if _residue_tangent_rank(leading, n2 - 1) == n2 - 1:
-            return TangentRank(n2 - 1, 1, None if t.count == 1 else True)
-    pivots = pivot_columns(commutator_operator(t.matrices))
-    surjective = None
-    if t.count > 1:
-        leading = (t.count - 1) * (n2 - 1)
-        surjective = sum(c < leading for c in pivots) == n2 - 1
-    return TangentRank(len(pivots), n2 - len(pivots), surjective)
+    whole, leading = tangent_ranks(t.matrices, max(t.count - 1, 1))
+    return TangentRank(whole, n2 - whole, None if t.count == 1 else leading == n2 - 1)
 
 
 @dataclass(frozen=True)
@@ -222,21 +193,12 @@ def is_irreducible(t: MatrixTuple, relation: bool | None = None) -> Irreducibili
     others, A_k = -(A_1 + .. + A_(k-1)) or M_k = P^-1 for P = M_1 .. M_(k-1),
     a polynomial in P by Cayley-Hamilton, so the closure leaves it out; when
     the relation fails every matrix is kept.  `relation` is
-    `verify_relation(t)` when the caller has decided it already.
-
-    The closure runs mod PRIME first: n^2 words independent mod PRIME are
-    independent over Q(i), so reaching n^2 proves the full dimension;
-    otherwise the exact closure decides."""
+    `verify_relation(t)` when the caller has decided it already."""
     if relation is None:
         relation = verify_relation(t)
     keep = t.count - 1 if t.count > 1 and relation else t.count
-    n2 = t.n * t.n
-    residues = t.residues
-    if residues is not None and _residue_algebra_dimension(residues[:keep]) == n2:
-        dim = n2
-    else:
-        dim = algebra_dimension(t.matrices[:keep])
-    return IrreducibilityReport(irreducible=dim == n2, algebra_dimension=dim)
+    dim = algebra_dimension(t.matrices[:keep])
+    return IrreducibilityReport(irreducible=dim == t.n * t.n, algebra_dimension=dim)
 
 
 def check_witness(t: MatrixTuple, problem: TupleProblem) -> tuple[bool, list[bool]]:
@@ -271,21 +233,8 @@ def local_dimension(t: MatrixTuple, problem: TupleProblem) -> int:
 def euler_characteristic(t: MatrixTuple) -> int:
     """2n^2 minus the per-matrix class dimensions, each computed from the
     matrix itself as the rank of X -> [M_j, X]; equals the rigidity index
-    of the tuple's classes.
-
-    Every centralizer has dimension at least n, so each rank is at most
-    n^2 - n; a rank that reaches it mod PRIME is proved, any other is
-    eliminated exactly."""
-    n = t.n
-    bound = n * n - n
-    residues = t.residues
-    total = 0
-    for j, m in enumerate(t.matrices):
-        if residues is not None and _residue_tangent_rank(residues[j : j + 1], bound) == bound:
-            total += bound
-        else:
-            total += rank(commutator_operator((m,)))
-    return 2 * n * n - total
+    of the tuple's classes."""
+    return 2 * t.n * t.n - sum(tangent_ranks((m,), 1)[0] for m in t.matrices)
 
 
 @dataclass(frozen=True)
@@ -403,8 +352,7 @@ def deform_step(
         raise DeformationError("direction constraint tr(sum L_j N_j R_j) = 0 fails")
     if coords is None:
         raise DeformationError("first-order system is unsolvable")
-    size = n * n - 1
-    x_matrices = [sl_element(n, coords[j * size : (j + 1) * size]) for j in range(len(leading))]
+    x_matrices = [sl_element(n, coords, j) for j in range(len(leading))]
     x_matrices.append(Matrix.zeros(n, n))
 
     deformed = []

@@ -43,6 +43,7 @@ from deligne_simpson.linalg import (
     LinalgError,
     SingularMatrixError,
     algebra_dimension,
+    exact_algebra_dimension,
     left_divide,
     pivot_columns,
     rank,
@@ -139,15 +140,15 @@ def test_solve_first_against_augmented_rank(index):
     reachable = [row[0] for row in _product(m.rows, coeffs)]
     arbitrary = [_entry(rng) for _ in range(m.nrows)]
     for rhs in (reachable, arbitrary):
-        x, r = solve_first(m, rhs)
+        column = Matrix([[b] for b in rhs])
+        x, r = solve_first(m, column)
         assert r == len(pivots)
         consistent = _domain(_augmented(m, rhs)).rank() == len(pivots)
         assert (x is not None) == consistent
         if x is None:
             continue
-        assert all(not v for j, v in enumerate(x) if j not in pivots)
-        column = Matrix([[v] for v in x])
-        assert _domain(m) * _domain(column) == _domain(Matrix([[b] for b in rhs]))
+        assert x.ncols == 1 and all(not v for j, (v,) in enumerate(x.rows) if j not in pivots)
+        assert _domain(m) * _domain(x) == _domain(column)
 
 
 @pytest.mark.parametrize("index", range(len(SQUARE)))
@@ -232,10 +233,10 @@ def test_sized_elimination_against_sympy(index, canonical_kernel):
     domain = _domain(m)
     _, pivots = domain.rref()
     assert pivot_columns(m) == list(pivots)
-    rhs = [row[0] for row in _product(m.rows, _random(rng, m.ncols, 1, _sized_entry(bits)))]
+    rhs = Matrix(_product(m.rows, _random(rng, m.ncols, 1, _sized_entry(bits))))
     x, r = solve_first(m, rhs)
-    assert r == len(pivots) and x is not None and all(map(_canonical, x))
-    assert domain * _domain(Matrix([[v] for v in x])) == _domain(Matrix([[b] for b in rhs]))
+    assert r == len(pivots) and x is not None and all(_canonical(v) for (v,) in x.rows)
+    assert domain * _domain(x) == _domain(rhs)
     if m.is_square and len(pivots) == m.nrows:
         inv = left_divide(m, Matrix.identity(m.nrows))
         assert all(_canonical(v) for row in inv.rows for v in row)
@@ -429,6 +430,7 @@ def test_closure_without_the_last_generator(index):
     t = CLOSURE_CASES[index]
     expected = _sympy_algebra_dimension(list(t.matrices))
     assert algebra_dimension(t.matrices) == expected
+    assert exact_algebra_dimension(t.matrices) == expected
     report = is_irreducible(t)
     assert report.algebra_dimension == expected
     assert report.irreducible == (expected == t.n * t.n)
@@ -456,5 +458,10 @@ def test_sl_element_is_the_basis_combination(n):
     expected = Matrix.zeros(n, n)
     for b, c in zip(sl_basis(n), coords):
         expected = expected + b.scale(c)
-    assert sl_element(n, coords) == expected
-    assert sl_element(n, coords).trace() == 0
+    # sl_1 is zero: a one-entry column stands for its empty coordinates
+    column = Matrix([[c] for c in coords] or [[7]])
+    assert sl_element(n, column, 0) == expected
+    assert sl_element(n, column, 0).trace() == 0
+    # block j reads entries j(n^2 - 1) .. (j + 1)(n^2 - 1) - 1
+    padded = Matrix([[0]] * (n * n - 1) + [[c] for c in coords] or [[7]])
+    assert sl_element(n, padded, 1) == expected

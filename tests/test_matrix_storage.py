@@ -6,9 +6,10 @@ method entry by entry with the operators.  Seeded matrices from 1 x 1 to
 5 x 5 mix zeros, integers, real fractions, pure imaginary entries and
 general entries over mixed denominators.  For each method the result
 must equal the reference, every triple the engine stores must be
-canonical, `rows`, `m[i, j]` and `vec(m)` must give `GaussianRational`s,
-and a `Matrix` built from the reference values (as Gaussian rationals,
-ints or texts) must equal and hash equal to the engine-built one.
+canonical, `rows` and `m[i, j]` must give `GaussianRational`s, `vec(m)`
+must hold the entries as one column, and a `Matrix` built from the
+reference values (as Gaussian rationals, ints or texts) must equal and
+hash equal to the engine-built one.
 
 `perfbench/tracing.py` reads matrices through `rows` on every traced
 `linalg.rank` and `solve_first` call, so a change of storage could break
@@ -84,8 +85,8 @@ def _check(m: Matrix, ref) -> None:
             got = m[i, j]
             assert type(got) is GaussianRational and got == x
     flat = vec(m)
-    assert all(type(x) is GaussianRational for x in flat)
-    assert list(flat) == [x for row in ref for x in row]
+    assert _stored_canonical(flat) and flat.ncols == 1
+    assert [x for (x,) in flat.rows] == [x for row in ref for x in row]
     # built from the values, as Gaussian rationals, ints where integral, or texts
     for rebuilt in (
         Matrix(ref),
@@ -198,6 +199,6 @@ def test_echelon_hooks_count_cells_and_bits(perfbench_modules):
         for m in w.matrices:
             assert rank_hook(ranked, (m,), {}) == (m,)
         first = w.matrices[0]
-        solve_hook(solved, (first, [0] * first.nrows), {})
+        solve_hook(solved, (first, Matrix.zeros(first.nrows, 1)), {})
     assert dict(ranked.counters) == {"echelon_cells": 2184, "entry_bits_max": 42}
     assert dict(solved.counters) == {"echelon_cells": 874, "entry_bits_max": 7}

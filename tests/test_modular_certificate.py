@@ -1,17 +1,22 @@
 """The modular certificate for full-rank witness facts.
 
-`tangent_rank`, `is_irreducible` and `euler_characteristic` first rank
-their maps mod linalg.PRIME and prove a fact only when that rank reaches
-its bound over Q(i): n^2 - 1 for the tangent map of the first k - 1
-matrices, n^2 for the Burnside closure, n^2 - n for each ad_(M_j).  Every
-value must equal the one the exact kernel (`_add_row`) computes, on tuples
-that reach the bounds, tuples that fall short of them by a little or a
-lot, and tuples whose denominators the prime divides.
+`tangent_rank`, `is_irreducible` and `euler_characteristic` each ask
+`linalg` for one fact, and `linalg` first ranks its map mod linalg.PRIME
+and proves the fact only when that rank reaches its bound over Q(i):
+n^2 - 1 for the tangent map of the first k - 1 matrices when they are two
+or more, n^2 - n for the map of one matrix (each ad_(M_j), and the whole
+map when k = 1), n^2 for the Burnside closure.  Every value must equal the
+one the exact kernel (`_add_row`) computes, on tuples that reach the
+bounds, tuples that fall short of them by a little or a lot, and tuples
+whose denominators the prime divides.  No modular pass runs where it
+cannot reach its bound, and no module but `linalg` handles residues.
 """
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 import sympy
@@ -28,17 +33,17 @@ from deligne_simpson import (
     tangent_rank,
     verify_relation,
 )
+from deligne_simpson import linalg
 from deligne_simpson.exactnum import residue_map, triple
 from deligne_simpson.linalg import (
     PRIME,
     ROOT,
-    _residue_algebra_dimension,
-    _residue_tangent_rank,
-    algebra_dimension,
     commutator_operator,
+    exact_algebra_dimension,
     left_divide,
     pivot_columns,
     rank,
+    tangent_ranks,
 )
 from deligne_simpson.witness import IrreducibilityReport, TangentRank
 
@@ -83,7 +88,7 @@ def _exact(t: MatrixTuple):
     leading = (t.count - 1) * (n2 - 1)
     surjective = None if t.count == 1 else sum(c < leading for c in pivots) == n2 - 1
     gens = t.matrices[:-1] if t.count > 1 and verify_relation(t) else t.matrices
-    dim = algebra_dimension(gens)
+    dim = exact_algebra_dimension(gens)
     euler = 2 * n2 - sum(rank(commutator_operator((m,))) for m in t.matrices)
     return (
         TangentRank(len(pivots), n2 - len(pivots), surjective),
@@ -93,18 +98,24 @@ def _exact(t: MatrixTuple):
 
 
 def _certified(t: MatrixTuple):
-    """Which facts the certificate proves mod PRIME alone: the tangent
-    rank, the closure, and each ad_(M_j)."""
-    res = t.residues
-    if res is None:
-        return False, False, (False,) * t.count
-    n = t.n
-    keep = t.count - 1 if t.count > 1 and verify_relation(t) else t.count
-    return (
-        _residue_tangent_rank(res[: max(t.count - 1, 1)], n * n - 1) == n * n - 1,
-        _residue_algebra_dimension(res[:keep]) == n * n,
-        tuple(_residue_tangent_rank([r], n * n - n) == n * n - n for r in res),
-    )
+    """Which facts the certificate proves mod PRIME alone, with no exact
+    tangent map or closure: the tangent rank, the closure, and each
+    ad_(M_j)."""
+    exact = []
+
+    def proven(call) -> bool:
+        exact.clear()
+        call()
+        return not exact
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "commutator_operator", lambda *a: exact.append(a) or commutator_operator(*a))
+        mp.setattr(linalg, "exact_algebra_dimension", lambda ms: exact.append(ms) or exact_algebra_dimension(ms))
+        return (
+            proven(lambda: tangent_rank(t)),
+            proven(lambda: is_irreducible(t)),
+            tuple(proven(lambda: tangent_ranks((m,), 1)) for m in t.matrices),
+        )
 
 
 def _gaussian_relation_tuple(rng, mode, n, count, bits):
@@ -229,7 +240,9 @@ def test_cases_cover_both_paths_of_every_fact():
     assert {p[1] for p in paths.values()} == {True, False}
     assert {x for p in paths.values() for x in p[2]} == {True, False}
     assert paths["all over PRIME"] == (False, False, (False,) * 3)
-    assert paths["one entry over 3 PRIME"] == (False, False, (False,) * 3)
+    # each matrix is reduced on its own: the two clean ones keep their
+    # certified ad-ranks
+    assert paths["one entry over 3 PRIME"] == (False, False, (False, True, True))
     # the reducible rigid triple: trivial centralizer, closure of dimension 5
     # short of 9; the hypergeometric pseudo-reflection is not regular
     assert paths["hypergeometric n=5"] == (True, True, (True, True, False))
@@ -241,3 +254,85 @@ def test_rigid_n3_closure_falls_back(rigid_n3_witness):
     assert is_irreducible(t) == IrreducibilityReport(False, 5)
     assert tangent_rank(t) == _exact(t)[0]
 
+
+
+def _passes(monkeypatch, call) -> tuple[int, int]:
+    """(modular, exact): how many eliminations mod PRIME and how many exact
+    eliminations `call` runs, one per pivot dict."""
+    seen = {"_add_residue_row": {}, "_add_row": {}}
+    for name, dicts in seen.items():
+
+        def counting(pivots, row, add=getattr(linalg, name), dicts=dicts):
+            dicts[id(pivots)] = pivots
+            return add(pivots, row)
+
+        monkeypatch.setattr(linalg, name, counting)
+    call()
+    return len(seen["_add_residue_row"]), len(seen["_add_row"])
+
+
+class TestOnlyPassesThatCanSucceed:
+    """A modular tangent pass runs only where its matrices can reach the
+    whole map's bound."""
+
+    def test_two_matrices_run_no_modular_pass(self, monkeypatch):
+        # the first matrix's map has rank at most n^2 - n < n^2 - 1
+        t = random_relation_tuple(random.Random(2), 3, 2)
+        assert _passes(monkeypatch, lambda: tangent_rank(t)) == (0, 1)
+
+    def test_one_regular_matrix_is_certified_at_n2_minus_n(self, monkeypatch):
+        t = MatrixTuple(ADDITIVE, [Matrix([[1, 1, 0], [0, 2, 1], [3, 0, 4]])])
+        assert rank(commutator_operator(t.matrices)) == 6
+        ranks = []
+        assert _passes(monkeypatch, lambda: ranks.append(tangent_rank(t))) == (1, 0)
+        assert ranks == [TangentRank(6, 3, None)]
+
+
+_SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "deligne_simpson").glob("*.py"))
+
+
+def _certificate_names(source: str, module: str) -> list[str]:
+    """Each name of the certificate used or defined in `source`, the text
+    of `module`, as "line: name": PRIME, ROOT and `_residue*` anywhere but
+    in linalg, `residue_map` anywhere but in linalg and exactnum."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        elif isinstance(node, ast.FunctionDef):
+            name = node.name
+        else:
+            continue
+        if module != "linalg" and (name in ("PRIME", "ROOT") or name.startswith("_residue")):
+            found.append(f"{node.lineno}: {name}")
+        elif module not in ("linalg", "exactnum") and name == "residue_map":
+            found.append(f"{node.lineno}: {name}")
+    return found
+
+
+class TestCertificateHome:
+    """`linalg` alone handles the prime and the residues."""
+
+    @pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+    def test_no_residue_outside_linalg(self, path):
+        assert _certificate_names(path.read_text(), path.stem) == []
+
+    @pytest.mark.parametrize("line", [
+        "from .linalg import _residue_rank",
+        "from .linalg import PRIME as p",
+        "bound = linalg.ROOT",
+        "from .exactnum import residue_map",
+        "def _residue_pass(rows):\n    pass",
+    ])
+    def test_the_guard_finds_a_name_put_back(self, line):
+        source = (_SOURCES[0].parent / "witness.py").read_text() + "\n" + line + "\n"
+        assert len(_certificate_names(source, "witness")) == 1
+
+    def test_the_guard_spares_linalg_and_exactnum(self):
+        source = "from .exactnum import residue_map\nr = residue_map(PRIME, ROOT)\n"
+        assert _certificate_names(source, "linalg") == []
+        assert len(_certificate_names(source, "exactnum")) == 2

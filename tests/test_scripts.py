@@ -34,15 +34,12 @@ def _witness_phases_timed(stdout):
 @pytest.mark.parametrize(
     "argv, check",
     [
-        (["classify_samples.py"], None),
-        (["invariance_sweep.py", "0", "5"], None),
         (["kernel_ladder.py", "--sizes", "4", "--bits", "8", "--repeats", "1"], None),
         (["search_ladder.py", "--sizes", "8"], None),
         (["phase_split.py", "--workload", "screens"], _every_request_timed),
         (["phase_split.py", "--workload", "witness"], _witness_phases_timed),
     ],
-    ids=["classify_samples", "invariance_sweep", "kernel_ladder", "search_ladder",
-         "phase_split", "phase_split_witness"],
+    ids=["kernel_ladder", "search_ladder", "phase_split", "phase_split_witness"],
 )
 def test_script_exits_zero(argv, check):
     result = subprocess.run(
